@@ -7,8 +7,7 @@ checker vs naive Definition 1 on consistency-heavy tasks), numpy
 (vectorized vs pure-python columnar kernels on scaled forum-hard eval
 and tracking; recorded as unavailable without NumPy), parallel
 (sharded vs serial on forum-hard experiment mode), dispatch
-(shared-memory handle vs pickled-table payload bytes, plus the
-skewed-lane imbalance of static shard planning), serve (warm-pool
+(the skewed-lane imbalance of static shard planning), serve (warm-pool
 vs cold request latency on repeated-schema service traffic), pool
 (thread-tier vs process-tier aggregate throughput for concurrent
 CPU-bound requests) and recovery (clean vs crashed-and-replayed run of
@@ -142,26 +141,15 @@ def parallel_snapshot(rounds: int) -> dict:
 
 
 def dispatch_snapshot() -> dict:
-    """Shared-memory dispatch payload (pickled tables vs handle) and the
-    skewed-lane imbalance of static planning — both core-count
-    independent, so these trajectory points are meaningful even on the
-    noisiest shared runner.  The payload reduction is the gated bar
-    (``test_dispatch_payload_reduction``)."""
+    """The skewed-lane imbalance of static planning — core-count
+    independent, so this trajectory point is meaningful even on the
+    noisiest shared runner."""
     from repro.benchmarks import all_tasks
 
-    payload_task = next(t for t in all_tasks()
-                        if t.name == parallel_bench.PAYLOAD_TASK)
-    pickled, handle = parallel_bench.dispatch_payload_bytes(payload_task)
     skew_task = next(t for t in all_tasks()
                      if t.name == parallel_bench.SKEW_TASK)
     skew = parallel_bench.skew_measurements(skew_task)
     return {
-        "payload_task": parallel_bench.PAYLOAD_TASK,
-        "scale_rows": parallel_bench.PAYLOAD_SCALE_ROWS,
-        "pickled_table_bytes": pickled,
-        "handle_bytes": handle,
-        "payload_reduction": round(pickled / handle, 2),
-        "payload_bar": parallel_bench.MIN_PAYLOAD_REDUCTION,
         "skew_task": parallel_bench.SKEW_TASK,
         "skew_workers": parallel_bench.WORKERS,
         "estimated_imbalance": round(skew["estimated_imbalance"], 3),
@@ -174,8 +162,7 @@ def serve_snapshot(pairs: int) -> dict:
     """Warm-pool request latency on repeated-schema service traffic.
 
     The ratio is the gated bar in ``test_serve_speed`` (p50 warm ≤ 0.5×
-    p50 cold); here it is recorded as a trajectory point alongside the
-    cross-worker sub-plan hit count.
+    p50 cold); here it is recorded as a trajectory point.
     """
     m = serve_bench.serve_measurements(pairs)
     return {
@@ -185,7 +172,6 @@ def serve_snapshot(pairs: int) -> dict:
         "warm_p50_ms": round(m["warm_p50_s"] * 1000, 2),
         "warm_ratio": round(m["warm_p50_s"] / m["cold_p50_s"], 3),
         "warm_ratio_bar": serve_bench.MAX_WARM_RATIO,
-        "cross_request_hits": m["cross_request_hits"],
     }
 
 

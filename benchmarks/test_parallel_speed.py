@@ -13,36 +13,26 @@ benchmark still verifies sharded/serial result equality and reports the
 non-gating; the nightly perf workflow records the numbers as a trajectory
 artifact (``benchmarks/perf_snapshot.py``).
 
-Two further measurements ride along, both core-count independent:
-
-* **skewed lanes** — per-shard visited counts under ``cost_rr`` planning
-  on an exhaustive (no-stop) hard-task sweep.  The static cost estimate
-  deals near-equal shards, the abstraction then prunes lanes the estimate
-  cannot see, and the measured ``ShardPlan.load_imbalance`` of actual
-  work quantifies what dynamic re-planning (ROADMAP) would reclaim.
-* **dispatch payload** — bytes a worker dispatch ships at 2k-row scale:
-  the pickled input tables vs the shared-memory :class:`EnvHandle`
-  (``repro.engine.shm``).  This one is gated (≥5× reduction), here and
-  in the nightly perf workflow.
+A further, core-count independent measurement rides along: **skewed
+lanes** — per-shard visited counts under ``cost_rr`` planning on an
+exhaustive (no-stop) hard-task sweep.  The static cost estimate deals
+near-equal shards, the abstraction then prunes lanes the estimate cannot
+see, and the measured ``ShardPlan.load_imbalance`` of actual work
+quantifies what dynamic re-planning (ROADMAP) would reclaim.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import pickle
 import time
 
 import pytest
 
 from repro.benchmarks import all_tasks
-from repro.engine import shm
-from repro.lang import ast
 from repro.parallel import ShardPlan, ShardPlanner, run_shards
 from repro.synthesis import GroundTruthStop, Synthesizer
 from repro.synthesis.skeletons import construct_skeletons
-from repro.table.table import Table
-from repro.util.rng import stable_rng
 
 #: Forum-hard tasks that solve within the budget at serial visited counts
 #: between ~1k and ~4k — enough search for sharding to matter, small enough
@@ -145,12 +135,12 @@ def per_shard_visited(task, workers: int = WORKERS):
     own budget/exhaustion, so visited counts are the lanes' actual work.
     """
     config = task.config.replace(
-        workers=workers, parallel_executor="serial", shm="off",
+        workers=workers, parallel_executor="serial",
         timeout_s=None, max_visited=SKEW_BUDGET)
     skeletons = construct_skeletons(task.env, config)
-    plan = ShardPlanner(workers, config.shard_strategy).plan(skeletons)
-    outcomes, _ = run_shards(plan, skeletons, task.env, task.demonstration,
-                             config, "provenance", stop_spec=None)
+    plan = ShardPlanner(workers).plan(skeletons)
+    outcomes = run_shards(plan, skeletons, task.env, task.demonstration,
+                          config, "provenance", stop_spec=None)
     return plan, [o.stats.visited for o in outcomes]
 
 
@@ -178,69 +168,3 @@ def test_skewed_lanes_defeat_static_planning():
     # ... while the measured work is demonstrably skewed beyond it — the
     # headroom the ROADMAP's dynamic re-planning is chartered to reclaim.
     assert m["actual_imbalance"] > m["estimated_imbalance"]
-
-
-# --- dispatch payload: pickled tables vs shared-memory handle -----------
-
-PAYLOAD_TASK = "fh02_region_quarter_share"
-PAYLOAD_SCALE_ROWS = 2_000
-MIN_PAYLOAD_REDUCTION = 5.0
-
-
-def payload_env(task, n_rows: int) -> ast.Env:
-    """The task's env with its largest table grown to ``n_rows`` of
-    *distinct* row objects.
-
-    ``test_numpy_speed.scaled_env`` recycles the original row tuples —
-    right for evaluation benchmarks, but pickle memoizes the repeats down
-    to backreferences, which no production table enjoys.  Here each
-    sampled row (and each string cell) is rebuilt as a fresh object so
-    the pickled size is what distinct real rows would actually cost.
-    """
-    largest = max(task.tables, key=lambda t: t.n_rows)
-    rng = stable_rng(f"payload-bench-{task.name}-{largest.name}")
-    base = list(largest.rows)
-
-    def fresh(value):
-        return value.encode().decode() if isinstance(value, str) else value
-
-    rows = [tuple(fresh(cell) for cell in base[rng.randrange(len(base))])
-            for _ in range(n_rows)]
-    grown = Table.from_rows(largest.name, largest.schema.columns, rows)
-    return ast.Env(tuple(grown if t is largest else t
-                         for t in task.tables))
-
-
-def dispatch_payload_bytes(task, n_rows: int = PAYLOAD_SCALE_ROWS):
-    """(pickled-table bytes, handle bytes) one worker dispatch ships.
-
-    Both measure the same object slot in the worker's argument tuple: the
-    input ``Env`` as the pickled tables (the pre-shm payload, and still
-    the spawn path with shm off) vs the :class:`~repro.engine.shm
-    .EnvHandle` naming the coordinator's one shared segment.
-    """
-    env = payload_env(task, n_rows)
-    pickled = len(pickle.dumps(env))
-    store = shm.ShmStore()
-    try:
-        handle = store.publish_env(env)
-        handle_bytes = len(pickle.dumps(handle))
-    finally:
-        store.close()
-        shm.sweep_prefix(store.prefix)
-    return pickled, handle_bytes
-
-
-def test_dispatch_payload_reduction():
-    """Gated: the shm handle is ≥5× smaller than the pickled tables."""
-    task = next(t for t in all_tasks() if t.name == PAYLOAD_TASK)
-    pickled, handle = dispatch_payload_bytes(task)
-    reduction = pickled / handle
-    print(f"\ndispatch payload ({PAYLOAD_TASK} at "
-          f"{PAYLOAD_SCALE_ROWS} rows):")
-    print(f"  pickled tables  {pickled:10d} bytes")
-    print(f"  shm handle      {handle:10d} bytes")
-    print(f"  reduction       {reduction:10.1f}x")
-    assert reduction >= MIN_PAYLOAD_REDUCTION, (
-        f"handle dispatch only {reduction:.1f}x smaller than pickled "
-        f"tables (bar: {MIN_PAYLOAD_REDUCTION}x)")

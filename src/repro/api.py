@@ -30,8 +30,8 @@ Synthesis-as-a-service (warm worker tier + asyncio front-end)::
 
 The worker tier is pluggable: ``pool_backend="threads"`` shares the
 caller's GIL, ``"processes"`` hosts sessions in long-lived worker
-processes fed over the shared-memory column store (the default for
-pools larger than one worker; ``REPRO_POOL_BACKEND`` overrides).
+processes fed pickled session checkpoints (the default for pools
+larger than one worker; ``REPRO_POOL_BACKEND`` overrides).
 Requests route by schema affinity — repeated-schema traffic lands on
 already-warm workers — and a request whose config asks for
 ``workers > 1`` fans out onto shard workers when the pool has idle

@@ -35,14 +35,6 @@ fuzz harness (``tests/test_backend_fuzz.py``).
 ``make_engine(name)`` is the factory the synthesis layer uses
 (``SynthesisConfig.backend`` selects the name); ``capabilities()`` reports
 what each name resolves to on this host.
-
-:mod:`repro.engine.shm` is the zero-copy shared-memory column store the
-parallel layer dispatches through: column blocks and whole environments
-are laid out in ``multiprocessing.shared_memory`` segments, workers attach
-read-only via picklable handles, and engines *adopt* the decoded columns
-(``EvalEngine.adopt_env``) so leaf blocks — and, on the NumPy backend,
-typed ``NDColumn`` shadows — alias the shared buffers instead of being
-rebuilt per worker.
 """
 
 from repro.engine.base import BACKENDS, EngineStats, EvalEngine, \

@@ -64,9 +64,11 @@ class EngineStats:
     consistency_col_pruned: int = 0  # verdicts decided at the column stage
     col_match_evals: int = 0    # (column, demo) match matrices computed
     col_match_hits: int = 0     # match matrices served from the memo
-    shm_segments: int = 0           # shared-memory segments published
-    shm_bytes_shipped: int = 0      # payload bytes laid out in those segments
-    cross_shard_hits: int = 0   # sub-plan blocks served from a sibling shard
+    # Inputs reach workers pickled and every engine owns its caches, so
+    # these two always read 0.  They stay because the benchmark harness
+    # (perfbench/child.py) reports them.
+    shm_bytes_shipped: int = 0
+    cross_shard_hits: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -144,11 +146,6 @@ class EvalEngine:
         self.stats = EngineStats()
         self._consistency = None
         self._tracked_grids: BoundedCache = BoundedCache(DEFAULT_GRID_CACHE)
-        #: Optional cross-shard evaluated-sub-plan cache client
-        #: (:mod:`repro.parallel.plan_cache`); ``None`` keeps every backend
-        #: on its private caches.  Set by the parallel worker after
-        #: construction — the engine itself never creates one.
-        self.shared_plans = None
 
     @property
     def consistency(self):
@@ -265,17 +262,6 @@ class EvalEngine:
         if errors not in ("raise", "none"):
             raise ValueError(
                 f"errors must be 'raise' or 'none', got {errors!r}")
-
-    def adopt_env(self, env: ast.Env, adopted=None) -> None:
-        """Pre-seed evaluation caches from shared-memory column storage.
-
-        ``adopted`` is the per-table payload from
-        :func:`repro.engine.shm.adopt_env` — already-decoded column lists
-        plus (where valid) zero-copy NumPy views of the shared buffers.
-        The base implementation is a no-op: adoption is an optimization,
-        never a semantic requirement, so backends without a columnar cache
-        to seed (the row engine) simply re-derive state on demand.
-        """
 
     def reset(self) -> None:
         """Drop all cached evaluation state and statistics."""

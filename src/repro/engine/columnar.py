@@ -226,23 +226,6 @@ class ColumnarEngine(EvalEngine):
         self._reset_consistency()
         self.stats = EngineStats()
 
-    def adopt_env(self, env: ast.Env, adopted=None) -> None:
-        """Seed the block cache with shared-memory-backed input columns.
-
-        ``adopted`` pairs each of ``env``'s tables with its already-decoded
-        column lists (:class:`repro.engine.shm.AdoptedTable`), so the
-        ``TableRef`` leaves of every candidate resolve to columns that
-        alias the coordinator's layout work instead of re-transposing
-        ``table.rows`` per worker.  Structural keys make this sound:
-        ``TableRef`` equality is by name and the decoded values are exact,
-        so a seeded block is indistinguishable from a computed one.
-        """
-        if adopted is None:
-            return
-        for entry in adopted:
-            block = kernels.ColumnBlock(entry.columns, entry.n_rows)
-            self._blocks[(ast.TableRef(entry.name), env)] = block
-
     def _is_concrete(self, query: ast.Query) -> bool:
         """Hole check with sharing: sibling candidates differ only at the
         top, so their shared subtrees are checked once."""
@@ -285,25 +268,6 @@ class ColumnarEngine(EvalEngine):
         hit = self._blocks.get(key)
         if hit is not None:
             return hit
-        shared = self.shared_plans
-        if shared is not None and shared.eligible(query):
-            fetched = shared.fetch(query, env)
-            if fetched is not None:
-                # A sibling shard already evaluated this sub-plan; rebuild
-                # the block from its published columns instead of recursing.
-                self.stats.cross_shard_hits += 1
-                columns, n_rows = fetched
-                block = kernels.ColumnBlock(columns, n_rows)
-                self._blocks[key] = block
-                return block
-            block = self._compute_block(query, env)
-            self._blocks[key] = block
-            published = shared.publish(query, env, block.columns,
-                                       block.n_rows)
-            if published:
-                self.stats.shm_segments += 1
-                self.stats.shm_bytes_shipped += published
-            return block
         block = self._compute_block(query, env)
         self._blocks[key] = block
         return block

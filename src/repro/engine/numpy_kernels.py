@@ -39,12 +39,10 @@ vectorized from the same :data:`~repro.table.values.FLOAT_REL_TOL` /
 Float accumulation uses ``np.add.accumulate`` / per-group fold orders that
 NumPy documents as sequential left folds — bit-identical to the reference
 ``sum()`` loops; reductions NumPy computes pairwise (``np.sum``) are *not*
-used for floats.  Row masks share the bitset matching core's integer
-format (:func:`repro.util.matching.bitmask_from_bools` packs a NumPy
-boolean mask into it without a per-element loop); the synthesis loop's
-consistency masks are term-level and remain pure-python today.  The
-cross-backend fuzz harness (``tests/test_backend_fuzz.py``) and the
-registry-wide differential suites enforce all of this.
+used for floats.  The synthesis loop's consistency masks are term-level
+and remain pure-python today.  The cross-backend fuzz harness
+(``tests/test_backend_fuzz.py``) and the registry-wide differential
+suites enforce all of this.
 
 Gate on import: :func:`make_numpy_engine` (wired into
 ``repro.engine.make_engine``) returns a ``ColumnarEngine`` with a logged
@@ -644,27 +642,6 @@ class NumpyEngine(ColumnarEngine):
     def reset(self) -> None:
         super().reset()
         self._nd_columns.clear()
-
-    def adopt_env(self, env: ast.Env, adopted=None) -> None:
-        """Seed blocks *and* NDColumn shadows from shared memory.
-
-        Beyond the inherited block seeding, every column whose segment
-        encoding was flagged ``nd_safe`` (the encode-time replay of
-        :func:`classify_column`'s rules) gets its shadow installed as a
-        zero-copy view of the shared buffer — the typed kernels then read
-        the coordinator's bytes directly, with no per-worker copy.
-        Columns without a valid view just classify lazily as usual.
-        """
-        super().adopt_env(env, adopted)
-        if adopted is None:
-            return
-        kinds = {"int64": "int", "float64": "float"}
-        for entry in adopted:
-            for column, view in zip(entry.columns, entry.views):
-                if view is None:
-                    continue
-                kind = kinds.get(view.dtype.name, "str")
-                self._nd_columns[id(column)] = (column, NDColumn(kind, view))
 
     def _ndcol(self, column) -> NDColumn:
         entry = self._nd_columns.get(id(column))

@@ -13,7 +13,6 @@ Usage::
 Options: ``--suite forum|tpcds``, ``--difficulty easy|hard``,
 ``--techniques provenance,value,type``, ``--backend row|columnar|numpy``,
 ``--workers N`` (shard the search across N worker processes),
-``--shm auto|on|off`` (shared-memory dispatch for process workers),
 ``--easy-timeout S``, ``--hard-timeout S``, ``--tasks name1,name2``,
 ``--csv FILE``.
 
@@ -62,8 +61,7 @@ def build_run_config(args) -> RunConfig:
     return RunConfig(easy_timeout_s=args.easy_timeout,
                      hard_timeout_s=args.hard_timeout,
                      backend=args.backend,
-                     workers=args.workers,
-                     shm=args.shm)
+                     workers=args.workers)
 
 
 def _run(args):
@@ -159,11 +157,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="shard the search across N worker processes "
                              "(default 1 = serial; results are identical)")
-    parser.add_argument("--shm", choices=("auto", "on", "off"),
-                        help="shared-memory column-store dispatch for "
-                             "process workers (default: task-configured; "
-                             "'auto' enables it whenever the process "
-                             "executor is used)")
     parser.add_argument("--easy-timeout", type=float,
                         default=RunConfig().easy_timeout_s)
     parser.add_argument("--hard-timeout", type=float,

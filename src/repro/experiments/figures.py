@@ -105,8 +105,7 @@ def results_csv(results: Sequence[TaskResult]) -> str:
               "backend,workers,engine_concrete_evals,engine_concrete_hits,"
               "engine_tracking_evals,engine_tracking_hits,"
               "consistency_checks,consistency_hits,consistency_col_pruned,"
-              "col_match_evals,col_match_hits,"
-              "shm_segments,shm_bytes_shipped,cross_shard_hits")
+              "col_match_evals,col_match_hits")
     rows = [header]
     for r in results:
         rows.append(
@@ -118,6 +117,5 @@ def results_csv(results: Sequence[TaskResult]) -> str:
             f"{r.engine_tracking_evals},{r.engine_tracking_hits},"
             f"{r.consistency_checks},{r.consistency_hits},"
             f"{r.consistency_col_pruned},{r.col_match_evals},"
-            f"{r.col_match_hits},{r.shm_segments},{r.shm_bytes_shipped},"
-            f"{r.cross_shard_hits}")
+            f"{r.col_match_hits}")
     return "\n".join(rows) + "\n"

@@ -126,20 +126,6 @@ def consistency_stats(results: Sequence[TaskResult],
     return verdict, matches, pruned
 
 
-def shm_stats(results: Sequence[TaskResult],
-              technique: str) -> tuple[int, int, int]:
-    """(segments, bytes shipped, cross-shard hits) of the shared-memory
-    dispatch and cross-shard sub-plan cache, summed over the sweep.
-
-    All-zero when runs were serial or shm was off — the report only prints
-    the line when there was traffic.
-    """
-    subset = [r for r in results if r.technique == technique]
-    return (sum(r.shm_segments for r in subset),
-            sum(r.shm_bytes_shipped for r in subset),
-            sum(r.cross_shard_hits for r in subset))
-
-
 def ranking_stats(results: Sequence[TaskResult],
                   technique: str = "provenance") -> dict[str, int]:
     """Distribution of q_gt's rank among consistent queries (§5.2)."""
@@ -210,12 +196,6 @@ def observation_report(results: Sequence[TaskResult]) -> str:
         verdict, matches, pruned = consistency_stats(results, tech)
         lines.append(f"  {tech:12s} {verdict:5.1f}% / {matches:5.1f}% / "
                      f"{pruned:5.1f}%")
-    if any(r.shm_segments or r.cross_shard_hits for r in results):
-        lines.append("shared-memory dispatch (segments / bytes shipped / "
-                     "cross-shard hits):")
-        for tech in techniques:
-            segments, shipped, hits = shm_stats(results, tech)
-            lines.append(f"  {tech:12s} {segments} / {shipped} / {hits}")
     lines.append("")
 
     if any(r.technique == "provenance" for r in results):

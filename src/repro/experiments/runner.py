@@ -15,8 +15,7 @@ hardware-bound (the paper used 600 s; pure Python needs humbler defaults):
 from __future__ import annotations
 
 import os
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.benchmarks.task import BenchmarkTask
 from repro.engine.base import EngineStats
@@ -35,7 +34,7 @@ TECHNIQUES = ("provenance", "value", "type")
 #: constants, key/sort limits, …) is part of the benchmark definition and
 #: never overridden by a sweep.
 EXEC_OVERRIDES = ("timeout_s", "max_visited", "backend", "workers",
-                  "shard_strategy", "parallel_executor", "shm", "strategy")
+                  "parallel_executor", "strategy")
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class RunConfig:
     backend: str | None = None      # None = each task's configured backend
     workers: int = 1                # shards searched concurrently per run
     parallel_executor: str | None = None   # None = each task's configured one
-    shm: str | None = None          # shared-memory mode; None = task default
 
     def timeout_for(self, task: BenchmarkTask) -> float:
         return (self.easy_timeout_s if task.difficulty == "easy"
@@ -83,30 +81,7 @@ def task_config(task: BenchmarkTask,
         overrides["backend"] = run_config.backend
     if run_config.parallel_executor is not None:
         overrides["parallel_executor"] = run_config.parallel_executor
-    if run_config.shm is not None:
-        overrides["shm"] = run_config.shm
     return task.config.replace(**overrides)
-
-
-def _coerce_run_config(run_config, legacy: dict,
-                       caller: str) -> "RunConfig | SynthesisConfig":
-    """Resolve the config argument, absorbing deprecated loose kwargs."""
-    if legacy:
-        unknown = set(legacy) - {f.name for f in fields(RunConfig)}
-        if unknown:
-            raise TypeError(
-                f"{caller}() got unexpected keyword arguments "
-                f"{sorted(unknown)}")
-        warnings.warn(
-            f"passing loose keyword arguments to {caller}() is deprecated; "
-            f"pass a RunConfig or SynthesisConfig instead",
-            DeprecationWarning, stacklevel=3)
-        if run_config is not None:
-            raise TypeError(
-                f"{caller}() got both a config object and loose keyword "
-                f"arguments; pass one or the other")
-        return RunConfig(**legacy)
-    return run_config if run_config is not None else RunConfig()
 
 
 @dataclass
@@ -142,13 +117,6 @@ class TaskResult:
     consistency_col_pruned: int = 0
     col_match_evals: int = 0
     col_match_hits: int = 0
-    # Shared-memory dispatch / cross-shard sub-plan cache telemetry
-    # (repro.engine.shm + repro.parallel.plan_cache): segments laid out,
-    # payload bytes shipped through them, and sub-plan blocks served from
-    # a sibling shard's published result.
-    shm_segments: int = 0
-    shm_bytes_shipped: int = 0
-    cross_shard_hits: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -156,17 +124,15 @@ class TaskResult:
 
 def run_task(task: BenchmarkTask, technique: str = "provenance",
              run_config: RunConfig | SynthesisConfig | None = None,
-             **legacy) -> TaskResult:
+             ) -> TaskResult:
     """Run one technique on one task until q_gt is found or timeout.
 
     ``run_config`` is a :class:`RunConfig` (difficulty-dependent budgets)
     or a :class:`~repro.synthesis.config.SynthesisConfig` whose execution
     fields (:data:`EXEC_OVERRIDES`) apply on top of the task's own config.
-    Loose keyword arguments (``backend=``, ``workers=``, …) are the
-    pre-session API — still accepted, with a ``DeprecationWarning``.
     """
-    run_config = _coerce_run_config(run_config, legacy, "run_task")
-    config = task_config(task, run_config)
+    config = task_config(task, run_config if run_config is not None
+                         else RunConfig())
     synthesizer = Synthesizer(technique, config)
     synthesizer.reset()  # cold caches: each measurement is independent
 
@@ -201,21 +167,16 @@ def run_task(task: BenchmarkTask, technique: str = "provenance",
         consistency_hits=engine_stats.consistency_hits,
         consistency_col_pruned=engine_stats.consistency_col_pruned,
         col_match_evals=engine_stats.col_match_evals,
-        col_match_hits=engine_stats.col_match_hits,
-        shm_segments=engine_stats.shm_segments,
-        shm_bytes_shipped=engine_stats.shm_bytes_shipped,
-        cross_shard_hits=engine_stats.cross_shard_hits)
+        col_match_hits=engine_stats.col_match_hits)
 
 
 def run_suite(tasks, techniques=TECHNIQUES,
               run_config: RunConfig | SynthesisConfig | None = None,
-              progress=None, **legacy) -> list[TaskResult]:
+              progress=None) -> list[TaskResult]:
     """Run a technique sweep over a task list.
 
-    Accepts the same config forms (and deprecated loose kwargs) as
-    :func:`run_task`.
+    Accepts the same config forms as :func:`run_task`.
     """
-    run_config = _coerce_run_config(run_config, legacy, "run_suite")
     results: list[TaskResult] = []
     for task in tasks:
         for technique in techniques:

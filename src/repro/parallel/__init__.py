@@ -5,7 +5,7 @@ is searched by a worker owning its own evaluation engine
 (:mod:`repro.parallel.worker`), and the per-lane event traces are replayed
 into the exact serial search order (:mod:`repro.parallel.merge`) — ranked
 output and search counters are byte-identical to the serial run regardless
-of worker count, shard strategy or completion order.
+of worker count, shard plan or completion order.
 
 Layering: this package sits beside ``repro.experiments``, *above*
 ``repro.synthesis`` — it orchestrates the serial building blocks
@@ -29,10 +29,9 @@ reaches around them.
 """
 
 from repro.parallel.coordinator import parallel_enumerate, parallel_resume
-from repro.parallel.executor import CancelToken, NO_LIMIT, resolve_shm, \
-    run_payloads, run_shards
+from repro.parallel.executor import CancelToken, NO_LIMIT, run_payloads, \
+    run_shards
 from repro.parallel.merge import replay_merge
-from repro.parallel.plan_cache import LocalPlanCache, ProcessPlanCache
 from repro.parallel.planner import ShardPlan, ShardPlanner, estimated_lane_cost
 from repro.parallel.worker import LaneTrace, ShardOutcome, run_shard
 
@@ -41,5 +40,4 @@ __all__ = [
     "ShardPlanner", "ShardPlan", "estimated_lane_cost",
     "run_shards", "run_payloads", "run_shard", "CancelToken", "NO_LIMIT",
     "LaneTrace", "ShardOutcome", "replay_merge",
-    "resolve_shm", "LocalPlanCache", "ProcessPlanCache",
 ]

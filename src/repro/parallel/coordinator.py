@@ -33,8 +33,8 @@ def parallel_enumerate(env: ast.Env, demo: Demonstration,
         raise ValueError("sharded search requires strategy='sized_dfs'")
     watch = Stopwatch()
     skeletons = construct_skeletons(env, config)
-    plan = ShardPlanner(config.workers, config.shard_strategy).plan(skeletons)
-    outcomes, dispatch = run_shards(plan, skeletons, env, demo, config,
+    plan = ShardPlanner(config.workers).plan(skeletons)
+    outcomes = run_shards(plan, skeletons, env, demo, config,
                                     abstraction_spec, stop_spec,
                                     executor=config.parallel_executor,
                                     cancel_export=cancel_export)
@@ -42,10 +42,6 @@ def parallel_enumerate(env: ast.Env, demo: Demonstration,
     result.workers = config.workers
     result.raw_stats = SearchStats.merge(*(o.stats for o in outcomes))
     result.engine_stats = EngineStats.merge(*(o.engine_stats for o in outcomes))
-    # Coordinator-side dispatch telemetry (the env layout segments) folds
-    # into the same counters the workers' publishes advanced.
-    result.engine_stats.shm_segments += dispatch.shm_segments
-    result.engine_stats.shm_bytes_shipped += dispatch.shm_bytes_shipped
     result.stats.elapsed_s = watch.elapsed()
     return result
 
@@ -75,10 +71,10 @@ def parallel_resume(lanes, env: ast.Env, demo: Demonstration,
     watch = Stopwatch()
     costs = [sum(estimated_lane_cost(query) for query in stack)
              for _, stack in lanes]
-    plan = ShardPlanner(config.workers, config.shard_strategy).plan_weighted(
+    plan = ShardPlanner(config.workers).plan_weighted(
         costs, [lane_id for lane_id, _ in lanes])
     payloads = [tuple(lanes[idx] for idx in shard) for shard in plan.shards]
-    outcomes, dispatch = run_payloads(payloads, env, demo, run_config,
+    outcomes = run_payloads(payloads, env, demo, run_config,
                                       abstraction_spec, stop_spec,
                                       executor=run_config.parallel_executor,
                                       seeded=True,
@@ -88,7 +84,5 @@ def parallel_resume(lanes, env: ast.Env, demo: Demonstration,
     result.workers = config.workers
     result.raw_stats = SearchStats.merge(*(o.stats for o in outcomes))
     result.engine_stats = EngineStats.merge(*(o.engine_stats for o in outcomes))
-    result.engine_stats.shm_segments += dispatch.shm_segments
-    result.engine_stats.shm_bytes_shipped += dispatch.shm_bytes_shipped
     result.stats.elapsed_s = watch.elapsed()
     return result

@@ -1,25 +1,17 @@
-"""Run shard workers: one OS process per shard, threads, or in-process.
+"""Run shard workers: one OS process per shard, or in-process.
 
-The three vehicles share the worker function and the cancel-token protocol,
+The two vehicles share the worker function and the cancel-token protocol,
 so they are semantically interchangeable — ``serial`` is the reference the
-other two must match (and the differential tests hold them to it):
+process executor must match (and the differential tests hold it to it):
 
 * ``process`` — true parallelism; workers are forked where available
-  (payloads inherited, no pickling) and spawned otherwise (payloads must
-  pickle — use :class:`~repro.synthesis.stop.StopSpec` rather than bare
-  closures).  Results always travel back pickled through a queue.
-* ``thread`` — GIL-bound (no wall-clock win for this CPU-bound loop) but
-  cheap and portable; the fallback for platforms without ``fork`` and the
-  workhorse for the determinism test suite.
+  (payloads inherited, no pickling) and spawned otherwise (payloads,
+  input tables included, must pickle — use
+  :class:`~repro.synthesis.stop.StopSpec` rather than bare closures).
+  Results always travel back pickled through a queue.
 * ``serial`` — shards run one after another in the calling thread.
 
-With shared memory enabled (:func:`resolve_shm`), the process executor
-ships each worker an :class:`~repro.engine.shm.EnvHandle` — segment name,
-schemas, row masks; a few hundred bytes — instead of the pickled input
-tables, and stands up the cross-shard sub-plan cache
-(:mod:`repro.parallel.plan_cache`).  ``REPRO_START_METHOD`` forces the
-process start method (the CI spawn job); ``REPRO_SHM`` overrides the
-``config.shm`` knob.
+``REPRO_START_METHOD`` forces the process start method (the CI spawn job).
 
 Cancellation is a single shared *round limit*: when a worker's stop
 predicate fires in round ``r`` it proposes ``r``; the limit is the minimum
@@ -35,8 +27,6 @@ import threading
 import time
 import traceback
 
-from repro.engine import shm
-from repro.parallel.plan_cache import LocalPlanCache, ProcessPlanCache
 from repro.parallel.planner import ShardPlan
 from repro.parallel.worker import ShardOutcome, run_shard
 from repro.util.timer import Deadline
@@ -45,25 +35,8 @@ from repro.util.timer import Deadline
 NO_LIMIT = 2 ** 62
 
 
-def resolve_shm(config, executor: str) -> bool:
-    """Whether this run uses shared-memory dispatch / sub-plan caching.
-
-    The ``REPRO_SHM`` environment variable (``on`` / ``off`` / ``auto``)
-    overrides ``config.shm``; ``auto`` enables shm exactly where it pays —
-    the process executor, whose workers would otherwise receive pickled
-    tables.  Thread and serial workers share the coordinator's address
-    space, so under ``on`` they get the in-process sub-plan cache only.
-    """
-    mode = os.environ.get("REPRO_SHM", "").strip().lower() or config.shm
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
-    return executor == "process"
-
-
 class CancelToken:
-    """In-process shared round limit (serial and thread executors)."""
+    """In-process shared round limit (serial executor)."""
 
     def __init__(self) -> None:
         self._limit = NO_LIMIT
@@ -99,35 +72,31 @@ class ProcessCancelToken:
 
 def _guarded_run_shard(shard_id, lanes, env, demo, config, abstraction_spec,
                        stop_spec, cancel, deadline,
-                       plan_cache=None, seeded=False) -> ShardOutcome:
+                       seeded=False) -> ShardOutcome:
     """run_shard that reports failures instead of raising (or vanishing)."""
     try:
         return run_shard(shard_id, lanes, env, demo, config,
                          abstraction_spec, stop_spec, cancel, deadline,
-                         plan_cache=plan_cache, seeded=seeded)
+                         seeded=seeded)
     except Exception:
         return ShardOutcome(shard_id, error=traceback.format_exc())
 
 
 def _process_main(shard_id, lanes, env, demo, config, abstraction_spec,
-                  stop_spec, cancel, deadline, plan_cache, seeded,
-                  queue) -> None:
+                  stop_spec, cancel, deadline, seeded, queue) -> None:
     queue.put(_guarded_run_shard(shard_id, lanes, env, demo, config,
                                  abstraction_spec, stop_spec, cancel,
-                                 deadline, plan_cache, seeded))
+                                 deadline, seeded))
 
 
 def run_shards(plan: ShardPlan, skeletons, env, demo, config,
                abstraction_spec: str, stop_spec, executor: str | None = None,
-               cancel_export=None,
-               ) -> tuple[list[ShardOutcome], shm.ShmDispatchStats]:
+               cancel_export=None) -> list[ShardOutcome]:
     """Execute every shard in ``plan``; outcomes ordered by shard id.
 
     ``skeletons`` is the canonical ``construct_skeletons`` list the plan
     indexes into; each shard receives its own ``(lane_id, skeleton)``
-    payload so workers never recompute the enumeration.  The second
-    return value is the coordinator-side shared-memory dispatch telemetry
-    (zeros when shm is off for this executor).
+    payload so workers never recompute the enumeration.
     """
     payloads = [tuple((lane, skeletons[lane]) for lane in shard)
                 for shard in plan.shards]
@@ -138,8 +107,7 @@ def run_shards(plan: ShardPlan, skeletons, env, demo, config,
 
 def run_payloads(payloads, env, demo, config, abstraction_spec: str,
                  stop_spec, executor: str | None = None, seeded: bool = False,
-                 cancel_export=None,
-                 ) -> tuple[list[ShardOutcome], shm.ShmDispatchStats]:
+                 cancel_export=None) -> list[ShardOutcome]:
     """Execute pre-built shard payloads; outcomes ordered by shard id.
 
     ``payloads[i]`` is shard ``i``'s lane tuple — ``(lane_id, skeleton)``
@@ -156,25 +124,17 @@ def run_payloads(payloads, env, demo, config, abstraction_spec: str,
     # time.monotonic is system-wide on the platforms with fork, so the
     # absolute expiry crosses process boundaries intact.
     deadline = Deadline(config.timeout_s)
-    use_shm = resolve_shm(config, executor)
-    dispatch = shm.ShmDispatchStats()
     if executor == "process":
         outcomes = _run_processes(payloads, env, demo, config,
                                   abstraction_spec, stop_spec, deadline,
-                                  use_shm, dispatch, seeded, cancel_export)
-    elif executor == "thread":
-        outcomes = _run_threads(payloads, env, demo, config,
-                                abstraction_spec, stop_spec, deadline,
-                                LocalPlanCache() if use_shm else None,
-                                seeded, cancel_export)
+                                  seeded, cancel_export)
     elif executor == "serial":
         cancel = CancelToken()
         if cancel_export is not None:
             cancel_export(cancel)
-        cache = LocalPlanCache() if use_shm else None
         outcomes = [_guarded_run_shard(i, lanes, env, demo, config,
                                        abstraction_spec, stop_spec, cancel,
-                                       deadline, cache, seeded)
+                                       deadline, seeded)
                     for i, lanes in enumerate(payloads)]
     else:
         raise ValueError(f"unknown parallel_executor {executor!r}")
@@ -185,29 +145,7 @@ def run_payloads(payloads, env, demo, config, abstraction_spec: str,
         raise RuntimeError(
             f"{len(errors)} shard worker(s) failed; first failure:\n"
             + errors[0])
-    return outcomes, dispatch
-
-
-def _run_threads(payloads, env, demo, config, abstraction_spec,
-                 stop_spec, deadline, plan_cache, seeded,
-                 cancel_export) -> list[ShardOutcome]:
-    cancel = CancelToken()
-    if cancel_export is not None:
-        cancel_export(cancel)
-    outcomes: list[ShardOutcome | None] = [None] * len(payloads)
-
-    def job(i: int, lanes) -> None:
-        outcomes[i] = _guarded_run_shard(i, lanes, env, demo, config,
-                                         abstraction_spec, stop_spec, cancel,
-                                         deadline, plan_cache, seeded)
-
-    threads = [threading.Thread(target=job, args=(i, lanes), daemon=True)
-               for i, lanes in enumerate(payloads)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return [o for o in outcomes if o is not None]
+    return outcomes
 
 
 def pick_context(methods=None, start_method: str | None = None):
@@ -239,88 +177,62 @@ _pick_context = pick_context
 
 
 def _run_processes(payloads, env, demo, config, abstraction_spec,
-                   stop_spec, deadline, use_shm, dispatch, seeded,
+                   stop_spec, deadline, seeded,
                    cancel_export) -> list[ShardOutcome]:
     ctx = _pick_context(multiprocessing.get_all_start_methods())
     cancel = ProcessCancelToken(ctx)
     if cancel_export is not None:
         cancel_export(cancel)
     queue = ctx.SimpleQueue()
-    store = cache = None
-    env_payload = env
-    clients: list = [None] * len(payloads)
-    try:
-        if use_shm:
-            # Lay the input tables out once; every worker gets the same
-            # few-hundred-byte handle and attaches read-only.  The sub-plan
-            # cache index rides on a manager process; worker publishes nest
-            # under the store's run prefix for one end-of-run sweep.
-            store = shm.ShmStore()
-            env_payload = store.publish_env(env)
-            cache = ProcessPlanCache(ctx, store.prefix)
-            clients = [cache.client(i) for i in range(len(payloads))]
 
-        def spawn(i: int):
-            proc = ctx.Process(
-                target=_process_main,
-                args=(i, payloads[i], env_payload, demo, config,
-                      abstraction_spec, stop_spec, cancel, deadline,
-                      clients[i], seeded, queue),
-                daemon=True)
-            proc.start()
-            return proc
+    def spawn(i: int):
+        proc = ctx.Process(
+            target=_process_main,
+            args=(i, payloads[i], env, demo, config, abstraction_spec,
+                  stop_spec, cancel, deadline, seeded, queue),
+            daemon=True)
+        proc.start()
+        return proc
 
-        procs = [spawn(i) for i in range(len(payloads))]
-        # Drain results before joining: a worker blocked on a full queue
-        # never exits, so join-first would deadlock on large traces.  A
-        # worker that dies without reporting (OOM kill, segfault, spawn
-        # unpickling failure) never enqueues anything — _guarded_run_shard
-        # cannot catch those — so poll liveness instead of blocking forever
-        # on the queue, and give each crashed shard one re-dispatch.
-        outcomes: list[ShardOutcome] = []
-        done: set[int] = set()
-        retried: set[int] = set()
-        while len(done) < len(procs):
+    procs = [spawn(i) for i in range(len(payloads))]
+    # Drain results before joining: a worker blocked on a full queue
+    # never exits, so join-first would deadlock on large traces.  A
+    # worker that dies without reporting (OOM kill, segfault, spawn
+    # unpickling failure) never enqueues anything — _guarded_run_shard
+    # cannot catch those — so poll liveness instead of blocking forever
+    # on the queue, and give each crashed shard one re-dispatch.
+    outcomes: list[ShardOutcome] = []
+    done: set[int] = set()
+    retried: set[int] = set()
+    while len(done) < len(procs):
+        if not queue.empty():
+            outcome = queue.get()
+            if outcome.shard_id not in done:
+                done.add(outcome.shard_id)
+                outcomes.append(outcome)
+            continue
+        crashed = [i for i, proc in enumerate(procs)
+                   if i not in done and not proc.is_alive()
+                   and proc.exitcode not in (0, None)]
+        if crashed:
             if not queue.empty():
-                outcome = queue.get()
-                if outcome.shard_id not in done:
-                    done.add(outcome.shard_id)
-                    outcomes.append(outcome)
-                continue
-            crashed = [i for i, proc in enumerate(procs)
-                       if i not in done and not proc.is_alive()
-                       and proc.exitcode not in (0, None)]
-            if crashed:
-                if not queue.empty():
-                    continue    # its result raced in during the scan
-                for i in crashed:
-                    if i in retried:
-                        raise RuntimeError(
-                            f"shard worker {i} died twice without reporting "
-                            f"a result (exit code {procs[i].exitcode})")
-                    # Reclaim the dead worker's published cache segments
-                    # (and their index entries) before re-running it.
-                    if cache is not None:
-                        cache.drop_shard(i)
-                    retried.add(i)
-                    procs[i] = spawn(i)
-                continue
-            if all(not proc.is_alive() for proc in procs) and queue.empty():
-                missing = len(procs) - len(done)
-                codes = sorted({proc.exitcode for proc in procs
-                                if proc.exitcode not in (0, None)})
-                raise RuntimeError(
-                    f"{missing} shard worker(s) died without reporting a "
-                    f"result (exit codes: {codes or 'unknown'})")
-            time.sleep(0.005)
-        for proc in procs:
-            proc.join()
-        return outcomes
-    finally:
-        if cache is not None:
-            cache.close()
-        if store is not None:
-            dispatch.absorb(store.stats)
-            store.close()
-            # Worker-published cache segments were disowned to this sweep.
-            shm.sweep_prefix(store.prefix)
+                continue    # its result raced in during the scan
+            for i in crashed:
+                if i in retried:
+                    raise RuntimeError(
+                        f"shard worker {i} died twice without reporting "
+                        f"a result (exit code {procs[i].exitcode})")
+                retried.add(i)
+                procs[i] = spawn(i)
+            continue
+        if all(not proc.is_alive() for proc in procs) and queue.empty():
+            missing = len(procs) - len(done)
+            codes = sorted({proc.exitcode for proc in procs
+                            if proc.exitcode not in (0, None)})
+            raise RuntimeError(
+                f"{missing} shard worker(s) died without reporting a "
+                f"result (exit codes: {codes or 'unknown'})")
+        time.sleep(0.005)
+    for proc in procs:
+        proc.join()
+    return outcomes

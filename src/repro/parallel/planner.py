@@ -9,8 +9,8 @@ serial visit order (see :mod:`repro.parallel.merge`).
 Lane cost is unknowable exactly (it is the size of the lane's hole-
 instantiation subspace, which the search itself prunes), so the planner
 balances an *estimate*: holes multiply a lane's subspace, operators add
-evaluation weight.  The default ``cost_rr`` strategy deals lanes to shards
-in descending-cost round-robin — the classic longest-processing-time
+evaluation weight.  The planner deals lanes to shards in descending-cost
+round-robin (``cost_rr``) — the classic longest-processing-time
 heuristic's cheap cousin — and is insensitive to the input order of the
 skeleton list (assignment is keyed on the skeleton itself, not its
 position).
@@ -73,25 +73,17 @@ class ShardPlan:
 class ShardPlanner:
     """Deterministically partition skeletons into at most ``workers`` shards.
 
-    Strategies (``SynthesisConfig.shard_strategy``):
-
-    * ``cost_rr`` (default) — sort lanes by (estimated cost descending,
-      canonical skeleton key) and deal them round-robin.  Balanced and
-      stable under permutation of the input list.
-    * ``round_robin`` — deal lanes in enumeration order.
-    * ``chunk`` — contiguous slices of the enumeration order.
-
-    Every strategy yields the same merged search result — the replay merge
-    is plan-agnostic — so the knob trades only load balance.
+    Lanes are sorted by (estimated cost descending, canonical skeleton
+    key) and dealt round-robin: balanced, and stable under permutation of
+    the input list.  Any partition yields the same merged search result —
+    the replay merge is plan-agnostic — so the plan trades only load
+    balance.
     """
 
-    def __init__(self, workers: int, strategy: str = "cost_rr") -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if strategy not in ("cost_rr", "round_robin", "chunk"):
-            raise ValueError(f"unknown shard_strategy {strategy!r}")
         self.workers = workers
-        self.strategy = strategy
 
     def plan(self, skeletons: Sequence[ast.Query]) -> ShardPlan:
         return self.plan_weighted(
@@ -106,8 +98,8 @@ class ShardPlanner:
         caller indexes — fresh skeletons there, a resumed session's live
         lane *stacks* (whose cost is the summed estimate of their queued
         queries) in :func:`~repro.parallel.coordinator.parallel_resume`.
-        ``keys`` breaks cost ties deterministically under ``cost_rr``;
-        item index is the fallback (stable, but position-sensitive).
+        ``keys`` breaks cost ties deterministically; item index is the
+        fallback (stable, but position-sensitive).
         """
         n = len(costs)
         if n == 0:
@@ -115,23 +107,12 @@ class ShardPlanner:
         n_shards = min(self.workers, n)
         buckets: list[list[int]] = [[] for _ in range(n_shards)]
 
-        if self.strategy == "chunk":
-            base, extra = divmod(n, n_shards)
-            start = 0
-            for shard_id in range(n_shards):
-                width = base + (1 if shard_id < extra else 0)
-                buckets[shard_id] = list(range(start, start + width))
-                start += width
-        elif self.strategy == "round_robin":
-            for lane in range(n):
-                buckets[lane % n_shards].append(lane)
-        else:  # cost_rr
-            if keys is None:
-                order = sorted(range(n), key=lambda i: (-costs[i], i))
-            else:
-                order = sorted(range(n), key=lambda i: (-costs[i], keys[i]))
-            for deal, lane in enumerate(order):
-                buckets[deal % n_shards].append(lane)
+        if keys is None:
+            order = sorted(range(n), key=lambda i: (-costs[i], i))
+        else:
+            order = sorted(range(n), key=lambda i: (-costs[i], keys[i]))
+        for deal, lane in enumerate(order):
+            buckets[deal % n_shards].append(lane)
 
         shards = tuple(tuple(sorted(bucket)) for bucket in buckets)
         shard_costs = tuple(sum(costs[lane] for lane in bucket)

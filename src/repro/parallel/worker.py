@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine import shm
 from repro.engine.base import EngineStats, make_engine
 from repro.lang import ast
 from repro.provenance.demo import Demonstration
@@ -86,7 +85,7 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
               config: SynthesisConfig, abstraction_spec: str,
               stop_spec: StopSpec | None, cancel,
               deadline: Deadline | None = None,
-              plan_cache=None, seeded: bool = False) -> ShardOutcome:
+              seeded: bool = False) -> ShardOutcome:
     """Search ``lanes`` — ``(lane_id, skeleton)`` pairs in ascending
     canonical order — to the shard-local stopping point.
 
@@ -102,31 +101,11 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
     ``deadline`` is the *run-wide* wall-clock budget shared by every shard
     (one ``timeout_s`` for the whole run, however shards are scheduled);
     each worker starts its own when none is given.
-
-    ``env`` is the input :class:`~repro.lang.ast.Env` — or, under
-    shared-memory dispatch, an :class:`~repro.engine.shm.EnvHandle` this
-    worker attaches read-only and rebuilds an ``==``-identical ``Env``
-    from (the engine additionally adopts the decoded columns, so its leaf
-    blocks alias the coordinator's layout work).  ``plan_cache`` is this
-    shard's cross-shard sub-plan cache client
-    (:mod:`repro.parallel.plan_cache`), or ``None`` to keep the engine on
-    its private caches.
     """
     watch = Stopwatch()
     if deadline is None:
         deadline = Deadline(config.timeout_s)
     engine = make_engine(config.backend)
-    attachment = None
-    if isinstance(env, shm.EnvHandle):
-        attachment = shm.Attachment()
-        # Zero-copy views only pay (and only stay referenced) on the NumPy
-        # backend; for the others they would just pin the mapping open.
-        env, adopted = shm.adopt_env(env, attachment,
-                                     want_views=engine.name == "numpy")
-        engine.adopt_env(env, adopted)
-        del adopted
-    if plan_cache is not None:
-        engine.shared_plans = plan_cache
     abstraction = build_abstraction(abstraction_spec, config)
     abstraction.bind_engine(engine)
     stop = None if stop_spec is None else stop_spec.build(engine, env)
@@ -214,12 +193,4 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
 
     stats.elapsed_s = watch.elapsed()
     outcome.engine_stats = engine.stats
-    if plan_cache is not None:
-        plan_cache.close()      # detach only; publishes outlive the worker
-    if attachment is not None:
-        # Drop the engine's zero-copy views (outcome already holds the
-        # stats object) so the mappings detach cleanly rather than riding
-        # the BufferError escape hatch at interpreter exit.
-        engine.reset()
-        attachment.close()
     return outcome

@@ -3,10 +3,10 @@
 (:mod:`repro.serve.service`).
 
 The pool is backend-pluggable (:data:`~repro.serve.pool.POOL_BACKENDS`):
-GIL-sharing worker threads, or long-lived worker processes fed
-checkpoint blobs over the shared-memory column store — the default
-whenever the pool is larger than one worker.  Both tiers share one
-sub-plan cache stack and produce byte-identical results.
+GIL-sharing worker threads, or long-lived worker processes fed pickled
+checkpoint blobs — the default whenever the pool is larger than one
+worker.  Every worker owns its warm engines' caches, and both tiers
+produce byte-identical results.
 
 Fault tolerance: the pool supervises its workers (restart with backoff,
 degrade to threads as a last resort) and the service replays a dead
@@ -17,9 +17,8 @@ for testing all of it lives in :mod:`repro.serve.faults`
 
 Layering: sits beside :mod:`repro.experiments`, above
 :mod:`repro.synthesis` — requests are
-:class:`~repro.synthesis.session.SynthesisSession` objects, and the pool
-reuses the cross-shard sub-plan cache and shm column store from
-:mod:`repro.parallel` / :mod:`repro.engine.shm`.
+:class:`~repro.synthesis.session.SynthesisSession` objects, and a
+``workers > 1`` request fans out through :mod:`repro.parallel`.
 """
 
 from repro.serve.faults import (

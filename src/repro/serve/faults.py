@@ -19,9 +19,6 @@ Injection sites (all rates are probabilities in ``[0, 1]``):
     (:meth:`~repro.synthesis.session.SynthesisSession.set_pop_hook`):
     the worker dies, or sleeps ``hang_s``, a few pops into a slice —
     mid-slice work that must be replayed from the last checkpoint.
-``publish_fail``
-    The coordinator's shm env publish raises, exercising the degrade to
-    pickled-env dispatch.
 ``spawn_fail``
     Restarting a dead worker fails, exercising restart backoff and — if
     every attempt fails — the pool's degrade to the thread backend.
@@ -78,14 +75,13 @@ class FaultPlan:
     crash_after: float = 0.0    # worker dies after the slice, outcome lost
     hang: float = 0.0           # worker sleeps hang_s mid-slice
     hang_s: float = 0.2
-    publish_fail: float = 0.0   # shm env publish raises
     spawn_fail: float = 0.0     # worker restart fails
     crash_on_cancel: float = 0.0  # worker dies while applying a cancel
     max_incarnation: int = 1    # incarnations < this are armed
 
     def __post_init__(self) -> None:
         for name in ("crash_before", "crash_mid", "crash_after", "hang",
-                     "publish_fail", "spawn_fail", "crash_on_cancel"):
+                     "spawn_fail", "crash_on_cancel"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate!r}")
@@ -213,10 +209,6 @@ class FaultInjector:
             raise OSError(
                 f"injected spawn failure (worker {self.worker_id}, "
                 f"incarnation {self.incarnation})")
-
-    def publish_fails(self) -> bool:
-        """Whether this env publish should fail (coordinator side)."""
-        return self.fires("publish", self.plan.publish_fail)
 
     def _on_pop(self) -> None:
         if self._pop_mode is None:

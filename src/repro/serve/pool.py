@@ -11,10 +11,9 @@ backends implement it —
   traffic and for callers who want to poll the live session object.
 * :class:`ProcessBackend` — long-lived non-daemon worker *processes*
   (non-daemon so a hosted session may itself fan out to shard workers).
-  Requests ship as env-stripped ``checkpoint()`` blobs plus an
-  :class:`~repro.engine.shm.EnvHandle` laid out once in the shared-memory
-  column store; concurrent CPU-bound searches then scale with cores
-  instead of contending for one GIL.
+  Requests ship as pickled ``checkpoint()`` blobs, input tables inside;
+  concurrent CPU-bound searches then scale with cores instead of
+  contending for one GIL.
 
 Both backends drive the same :class:`_SessionHost` per worker: a cache of
 warm ``(engine, abstraction)`` pairs keyed by :func:`warm_key`, the
@@ -23,22 +22,14 @@ schema-affinity routing optimizes), and the sessions currently hosted.
 Because the host is shared code, a request's slices execute identically
 on either tier — the determinism pledge below.
 
-Cross-request sub-plan sharing spans both tiers through one cache stack:
-every warm engine talks to a :class:`~repro.parallel.plan_cache.
-LocalPlanCache`; on the process tier that local cache is *backed* by the
-shm-digest index (:class:`~repro.parallel.plan_cache.ProcessPlanCache`
-with env-keyed digests), so the first worker process that evaluates a
-shared sub-plan publishes its block and every sibling — and the
-coordinator's own engines — fetch it instead of re-evaluating.
-
 Why warm reuse is safe: engine caches are keyed on exact structural
 ``(query, env)`` state — and the incremental consistency checker's
 verdicts additionally on demonstration identity — so traffic from one
-request can never change another's *results*, only its latency.  The shm
-codecs are exact and an attached environment compares equal to the
-original, so a process-hosted session's ranked queries and
-``SearchStats`` are byte-identical to the same session sliced on a
-thread worker (or never sliced at all), under fork and spawn alike.
+request can never change another's *results*, only its latency.  An
+unpickled environment compares equal to the original, so a
+process-hosted session's ranked queries and ``SearchStats`` are
+byte-identical to the same session sliced on a thread worker (or never
+sliced at all), under fork and spawn alike.
 
 Fault tolerance (PR 9).  A supervisor thread in the facade watches for
 dead workers (process exitcode, crashed thread) and hung slices (no
@@ -47,9 +38,9 @@ the worker down, bumps its *incarnation* (stale outcomes and ops from
 the dead incarnation are dropped by tag), fails its hosted requests over
 to the caller as ``status="worker_died"`` outcomes, and restarts the
 worker with exponential backoff.  A restarted process worker gets a
-fresh job queue, a swept plan-cache shard (``drop_shard``), and cold
-warm/affinity state.  When every restart attempt fails the pool degrades
-to the thread backend with a logged warning rather than dying.  Every
+fresh job queue and cold warm/affinity state.  When every restart
+attempt fails the pool degrades to the thread backend with a logged
+warning rather than dying.  Every
 non-terminal :class:`SliceOutcome` carries the session's latest
 slice-boundary checkpoint, which is what lets the service above replay a
 request on a healthy worker with byte-identical results — crashes cost
@@ -60,7 +51,6 @@ from :mod:`repro.serve.faults`.
 from __future__ import annotations
 
 import atexit
-import gc
 import logging
 import os
 import queue
@@ -71,10 +61,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.abstraction.base import Abstraction
-from repro.engine import shm
 from repro.engine.base import EvalEngine, make_engine, resolve_backend
 from repro.parallel.executor import pick_context
-from repro.parallel.plan_cache import LocalPlanCache, ProcessPlanCache
 from repro.serve.faults import (
     FAULT_EXITCODE,
     FaultInjector,
@@ -120,9 +108,9 @@ MAX_SPAWN_ATTEMPTS = 3
 #: via the queued cancel op.
 _CANCEL_SLOTS = 256
 
-#: Attached environments memoized per worker process (one per shm
-#: segment); beyond this, idle entries are detached oldest-first.
-_ENV_MEMO_LIMIT = 32
+#: Unpickled input environments a worker process keeps per env digest;
+#: past this many distinct environments the memo starts over.
+_ENV_MEMO_SIZE = 64
 
 
 def resolve_pool_backend(backend: str | None = None, size: int = 1) -> str:
@@ -179,7 +167,6 @@ class RecoveryTelemetry:
     restarts: int = 0            # successful worker restarts
     spawn_failures: int = 0      # failed restart attempts
     backend_degradations: int = 0  # process pool fell back to threads
-    shm_degradations: int = 0    # env publishes that fell back to pickling
 
     def as_dict(self) -> dict:
         return {
@@ -187,7 +174,6 @@ class RecoveryTelemetry:
             "restarts": self.restarts,
             "spawn_failures": self.spawn_failures,
             "backend_degradations": self.backend_degradations,
-            "shm_degradations": self.shm_degradations,
         }
 
 
@@ -223,13 +209,12 @@ class SliceOutcome:
 class _Hosted:
     """One session resident on a worker, with its slicing parameters."""
 
-    __slots__ = ("session", "slice_pops", "deadline", "adopted")
+    __slots__ = ("session", "slice_pops", "deadline")
 
-    def __init__(self, session, slice_pops, deadline, adopted) -> None:
+    def __init__(self, session, slice_pops, deadline) -> None:
         self.session = session
         self.slice_pops = slice_pops
         self.deadline = deadline
-        self.adopted = adopted
 
 
 class _SessionHost:
@@ -242,11 +227,10 @@ class _SessionHost:
     means no faults.
     """
 
-    def __init__(self, worker_id: int, plan_cache, incarnation: int = 0,
+    def __init__(self, worker_id: int, incarnation: int = 0,
                  injector: FaultInjector | None = None,
                  checkpoints: bool = True) -> None:
         self.worker_id = worker_id
-        self.plan_cache = plan_cache
         self.incarnation = incarnation
         self.injector = injector
         self.checkpoints = checkpoints
@@ -258,12 +242,11 @@ class _SessionHost:
     def engine_for(self, config: SynthesisConfig,
                    technique: str) -> tuple[EvalEngine, Abstraction]:
         """The warm engine+abstraction for this request shape (built on
-        first use, wired to the worker's sub-plan cache stack)."""
+        first use)."""
         key = warm_key(config, technique)
         pair = self._warm.get(key)
         if pair is None:
             engine = make_engine(config.backend)
-            engine.shared_plans = self.plan_cache.client(self.worker_id)
             abstraction = build_abstraction(technique, config)
             abstraction.bind_engine(engine)
             pair = (engine, abstraction)
@@ -272,8 +255,8 @@ class _SessionHost:
         return pair
 
     def open_session(self, request_id: int, session: SynthesisSession,
-                     slice_pops: int, deadline: Deadline, env_key: str,
-                     adopted=None) -> SliceOutcome:
+                     slice_pops: int, deadline: Deadline,
+                     env_key: str) -> SliceOutcome:
         """Admit a session and run its first slice.
 
         The warm hit/miss is scored here, per request, at ``(warm key,
@@ -288,8 +271,7 @@ class _SessionHost:
         else:
             self._counts.warm_misses += 1
             self._served.add(key)
-        self._sessions[request_id] = _Hosted(session, slice_pops, deadline,
-                                             adopted)
+        self._sessions[request_id] = _Hosted(session, slice_pops, deadline)
         return self.step_session(request_id)
 
     def step_session(self, request_id: int) -> SliceOutcome:
@@ -361,9 +343,6 @@ class _SessionHost:
     def drop(self, request_id: int) -> None:
         self._sessions.pop(request_id, None)
 
-    def env_in_use(self, env) -> bool:
-        return any(h.session.env is env for h in self._sessions.values())
-
     def telemetry(self) -> WorkerTelemetry:
         counts = self._counts
         return WorkerTelemetry(
@@ -376,11 +355,6 @@ class _SessionHost:
         engine, abstraction = self.engine_for(session.config,
                                               session.abstraction_spec)
         session.attach_engine(engine, abstraction)
-        if hosted.adopted is not None:
-            # Re-seed the shm-backed column blocks (idempotent): a warm
-            # engine that last served a different env gets this env's
-            # zero-copy blocks back without re-decoding.
-            engine.adopt_env(session.env, hosted.adopted)
 
     def _slice_checkpoint(self, session: SynthesisSession) -> bytes | None:
         if not self.checkpoints:
@@ -487,14 +461,13 @@ class PoolBackend:
 class _ThreadWorker:
     """One warm thread worker: a queue, a thread, a session host."""
 
-    def __init__(self, worker_id: int, plan_cache,
+    def __init__(self, worker_id: int,
                  dispatch: Callable[[SliceOutcome], None],
                  incarnation: int = 0,
                  injector: FaultInjector | None = None,
                  checkpoints: bool = True) -> None:
-        self.host = _SessionHost(worker_id, plan_cache,
-                                 incarnation=incarnation, injector=injector,
-                                 checkpoints=checkpoints)
+        self.host = _SessionHost(worker_id, incarnation=incarnation,
+                                 injector=injector, checkpoints=checkpoints)
         self.crashed = False
         self._dispatch = dispatch
         self._jobs: queue.Queue = queue.Queue()
@@ -545,20 +518,18 @@ class ThreadBackend(PoolBackend):
 
     name = "threads"
 
-    def __init__(self, size: int, plan_cache,
+    def __init__(self, size: int,
                  dispatch: Callable[[SliceOutcome], None],
                  faults: FaultPlan | None = None,
                  checkpoints: bool = True,
                  incarnations: list[int] | None = None) -> None:
-        self._plan_cache = plan_cache
         self._dispatch = dispatch
         self._faults = faults
         self._checkpoints = checkpoints
         self._closing = False
         incarnations = incarnations or [0] * size
         self._workers = [
-            _ThreadWorker(i, plan_cache, dispatch,
-                          incarnation=incarnations[i],
+            _ThreadWorker(i, dispatch, incarnation=incarnations[i],
                           injector=make_injector(faults, i, incarnations[i]),
                           checkpoints=checkpoints)
             for i in range(size)]
@@ -596,8 +567,7 @@ class ThreadBackend(PoolBackend):
         # and are dropped by the facade.
         old.submit(_SHUTDOWN)
         self._workers[worker_id] = _ThreadWorker(
-            worker_id, self._plan_cache, self._dispatch,
-            incarnation=incarnation,
+            worker_id, self._dispatch, incarnation=incarnation,
             injector=make_injector(self._faults, worker_id, incarnation),
             checkpoints=self._checkpoints)
 
@@ -627,52 +597,40 @@ class _SlotProbe:
         return self.flags[self.slot] != 0
 
 
-def _process_worker_main(worker_id: int, jobs, results, plan_client,
-                         cancel_flags, faults: FaultPlan | None,
-                         incarnation: int, checkpoints: bool) -> None:
+def _process_worker_main(worker_id: int, jobs, results, cancel_flags,
+                         faults: FaultPlan | None, incarnation: int,
+                         checkpoints: bool) -> None:
     """Body of one long-lived worker process.
 
-    Environments are memoized per shm segment — attached and decoded
-    once, then shared by every hosted session that ships the same
-    handle — and the plan cache is the two-tier stack: a local dict in
-    front of the pool-wide shm-digest index.  An :class:`InjectedCrash`
-    ends the process via ``os._exit`` — no cleanup, no unwinding —
-    because that is what a real worker death looks like to the
-    supervisor.
+    Each ``open`` op carries a pickled checkpoint with the input tables
+    inside.  Unpickled environments are memoized by the service's env
+    digest: a repeated request then hands the warm engine the very
+    ``Env`` object its cache keys hold, so cache probes match by
+    identity instead of comparing every cell of an equal copy.  An
+    :class:`InjectedCrash` ends the process via ``os._exit`` — no
+    cleanup, no unwinding — because that is what a real worker death
+    looks like to the supervisor.
     """
-    plan_cache = LocalPlanCache(backing=plan_client)
-    host = _SessionHost(worker_id, plan_cache, incarnation=incarnation,
+    host = _SessionHost(worker_id, incarnation=incarnation,
                         injector=make_injector(faults, worker_id,
                                                incarnation),
                         checkpoints=checkpoints)
-    attachment = shm.Attachment()
-    envs: dict[str, tuple] = {}         # segment -> (env, adopted payload)
+    envs: dict = {}                     # env digest -> Env
 
     def open_session(request_id: int, payload) -> SliceOutcome:
-        blob, handle, slice_pops, deadline, env_key, slot = payload
-        if handle is None:
-            # Degraded dispatch: the coordinator could not publish the
-            # env to shm, so the blob carries the pickled tables.
-            session = SynthesisSession.resume(blob)
-            adopted = None
+        blob, slice_pops, deadline, env_key, slot = payload
+        session = SynthesisSession.resume(blob)
+        known = envs.get(env_key)
+        if known == session.env:        # one comparison per request
+            session.env = known
         else:
-            entry = envs.get(handle.segment)
-            if entry is None:
-                entry = shm.adopt_env(handle, attachment)
-                envs[handle.segment] = entry
-                while len(envs) > _ENV_MEMO_LIMIT:
-                    stale = next((seg for seg, (env, _) in envs.items()
-                                  if not host.env_in_use(env)), None)
-                    if stale is None:
-                        break
-                    del envs[stale]
-                    attachment.discard(stale)
-            env, adopted = entry
-            session = SynthesisSession.resume(blob, env=env)
+            if len(envs) >= _ENV_MEMO_SIZE:
+                envs.clear()
+            envs[env_key] = session.env
         if slot >= 0:
             session.set_cancel_probe(_SlotProbe(cancel_flags, slot))
         return host.open_session(request_id, session, slice_pops, deadline,
-                                 env_key, adopted=adopted)
+                                 env_key)
 
     try:
         while True:
@@ -689,31 +647,20 @@ def _process_worker_main(worker_id: int, jobs, results, plan_client,
                                   lambda: open_session(request_id, payload)))
     except InjectedCrash:
         os._exit(FAULT_EXITCODE)
-    plan_cache.close()
-    # Release every zero-copy view (warm engines, env memo) before
-    # detaching, so segment mappings close cleanly instead of deferring
-    # to interpreter-exit GC with exported pointers still alive.
-    host = None
-    envs.clear()
-    gc.collect()
-    attachment.close()
 
 
 class ProcessBackend(PoolBackend):
     """Long-lived worker processes fed over per-worker job queues.
 
-    Dispatch path: the coordinator checkpoints the session (env
-    stripped), publishes its environment once into the shm column store,
-    and ships ``(blob, EnvHandle)``; one reader thread fans every
+    Dispatch path: the coordinator ships the session's pickled
+    ``checkpoint()``, input tables included; one reader thread fans every
     worker's outcomes back into the dispatch callback.  Workers are
     non-daemon so a hosted session may fan out to its own shard
     processes (daemons cannot have children).
 
     Restart support: each worker carries an incarnation; replacing one
-    terminates the process if needed, sweeps its plan-cache shard, swaps
-    in a fresh job queue, and spawns the next incarnation.  An env
-    publish that raises ``OSError`` (or is injected to) degrades that
-    request to pickled-env dispatch instead of failing it.
+    terminates the process if needed, swaps in a fresh job queue, and
+    spawns the next incarnation.
     """
 
     name = "processes"
@@ -721,32 +668,20 @@ class ProcessBackend(PoolBackend):
     def __init__(self, size: int, dispatch: Callable[[SliceOutcome], None],
                  start_method: str | None = None,
                  faults: FaultPlan | None = None,
-                 checkpoints: bool = True,
-                 recovery: RecoveryTelemetry | None = None) -> None:
+                 checkpoints: bool = True) -> None:
         self._dispatch = dispatch
         self._faults = faults
         self._checkpoints = checkpoints
-        self._recovery = recovery if recovery is not None \
-            else RecoveryTelemetry()
         self._ctx = pick_context(start_method=start_method)
-        # Env segments and worker plan publishes both nest under the
-        # store's prefix: one end-of-life sweep reclaims everything
-        # however a publisher exited.
-        self._store = shm.ShmStore()
-        self.prefix = self._store.prefix
-        self._plan_tier = ProcessPlanCache(self._ctx, self.prefix,
-                                           env_keyed=True)
         self._cancel_flags = self._ctx.Array("b", _CANCEL_SLOTS, lock=False)
         self._results = self._ctx.SimpleQueue()
         self._jobs = [self._ctx.SimpleQueue() for _ in range(size)]
         self._incarnations = [0] * size
         self._spawn_injectors: dict[int, FaultInjector] = {}
-        self._pub_injectors: dict[int, FaultInjector] = {}
         self._procs: list = [None] * size
         for i in range(size):
             self._spawn(i, 0)
         self._lock = threading.Lock()
-        self._env_handles: dict = {}            # env -> EnvHandle
         self._slots: dict[int, int] = {}        # request_id -> flag slot
         self._free_slots = list(range(_CANCEL_SLOTS))
         self._telemetry = [WorkerTelemetry(worker_id=i) for i in range(size)]
@@ -759,44 +694,23 @@ class ProcessBackend(PoolBackend):
         proc = self._ctx.Process(
             target=_process_worker_main,
             args=(worker_id, self._jobs[worker_id], self._results,
-                  self._plan_tier.client(worker_id), self._cancel_flags,
-                  self._faults, incarnation, self._checkpoints),
+                  self._cancel_flags, self._faults, incarnation,
+                  self._checkpoints),
             name=f"repro-serve-proc-{worker_id}", daemon=False)
         proc.start()
         self._procs[worker_id] = proc
 
-    def plan_client(self):
-        """A coordinator-side client of the pool's shm-digest index (the
-        backing tier for the facade's ``plan_cache``)."""
-        return self._plan_tier.client(len(self._procs))
-
     def open(self, worker_id, request_id, session, slice_pops, deadline,
              env_key) -> None:
+        blob = session.checkpoint()
         with self._lock:
-            handle = self._env_handles.get(session.env)
-            if handle is None:
-                try:
-                    if self._publish_fails(worker_id):
-                        raise OSError("injected shm publish failure")
-                    handle = self._store.publish_env(session.env)
-                    self._env_handles[session.env] = handle
-                except OSError as exc:
-                    # /dev/shm full, injected, or otherwise — ship the
-                    # tables pickled inside the blob instead of failing
-                    # the request; slower dispatch, same results.
-                    _LOG.warning(
-                        "shm env publish failed for request %d (%s); "
-                        "degrading to pickled-env dispatch", request_id, exc)
-                    self._recovery.shm_degradations += 1
-                    handle = None
             slot = self._free_slots.pop() if self._free_slots else -1
             if slot >= 0:
                 self._cancel_flags[slot] = 0
                 self._slots[request_id] = slot
-            blob = session.checkpoint(strip_env=handle is not None)
             self._jobs[worker_id].put(
                 ("open", request_id,
-                 (blob, handle, slice_pops, deadline, env_key, slot)))
+                 (blob, slice_pops, deadline, env_key, slot)))
 
     def step(self, worker_id, request_id) -> None:
         with self._lock:
@@ -839,31 +753,12 @@ class ProcessBackend(PoolBackend):
             if proc.is_alive():     # pragma: no cover - defensive
                 proc.kill()
                 proc.join(timeout=2.0)
-        # The dead incarnation's disowned plan publishes and stale index
-        # entries: swept now, so the next incarnation (same shard
-        # prefix) starts clean and nothing leaks if the pool dies later.
-        self._plan_tier.drop_shard(worker_id)
         self._spawn_check(worker_id, incarnation)
         with self._lock:
             self._jobs[worker_id] = self._ctx.SimpleQueue()
             self._incarnations[worker_id] = incarnation
             self._spawn_injectors.pop(worker_id, None)
-            self._pub_injectors.pop(worker_id, None)
         self._spawn(worker_id, incarnation)
-
-    def _publish_fails(self, worker_id: int) -> bool:
-        """Coordinator-side publish-failure injection (caller holds the
-        lock); the injector is cached per incarnation so its draw stream
-        advances across requests instead of resetting."""
-        if self._faults is None:
-            return False
-        injector = self._pub_injectors.get(worker_id)
-        if injector is None or \
-                injector.incarnation != self._incarnations[worker_id]:
-            injector = FaultInjector(self._faults, worker_id,
-                                     self._incarnations[worker_id])
-            self._pub_injectors[worker_id] = injector
-        return injector.publish_fails()
 
     def _spawn_check(self, worker_id: int, incarnation: int) -> None:
         """Fault-injection site for restart failures.  The spawn stream
@@ -921,9 +816,6 @@ class ProcessBackend(PoolBackend):
                     proc.join(timeout=1.0)
         self._results.put(None)
         self._reader.join(timeout=2.0)
-        self._plan_tier.close()
-        self._store.close()
-        shm.sweep_prefix(self.prefix)       # workers' disowned publishes
         return stuck
 
     def destroy(self) -> None:
@@ -943,15 +835,6 @@ class ProcessBackend(PoolBackend):
             self._reader.join(timeout=1.0)
         except Exception:                   # pragma: no cover - teardown
             pass
-        try:
-            self._plan_tier.close()
-        except Exception:                   # pragma: no cover - teardown
-            pass
-        try:
-            self._store.close()
-        except Exception:                   # pragma: no cover - teardown
-            pass
-        shm.sweep_prefix(self.prefix)
 
 
 # ------------------------------------------------------------------- facade
@@ -980,7 +863,6 @@ class WorkerPool:
     """
 
     def __init__(self, size: int = 2, backend: str | None = None,
-                 plan_cache: LocalPlanCache | None = None,
                  start_method: str | None = None,
                  faults: FaultPlan | None = None,
                  slice_timeout_s: float | None = None,
@@ -1010,21 +892,13 @@ class WorkerPool:
         self._restart_listeners: list[Callable[[int | None], None]] = []
         self.recovery = RecoveryTelemetry()
         if self.backend_name == "threads":
-            self.plan_cache = plan_cache if plan_cache is not None \
-                else LocalPlanCache()
             self._backend: PoolBackend = ThreadBackend(
-                size, self.plan_cache, self._on_outcome, faults=self.faults,
+                size, self._on_outcome, faults=self.faults,
                 checkpoints=checkpoints)
         else:
-            process_backend = ProcessBackend(
+            self._backend = ProcessBackend(
                 size, self._on_outcome, start_method, faults=self.faults,
-                checkpoints=checkpoints, recovery=self.recovery)
-            self._backend = process_backend
-            # The coordinator-side cache rides on the same shm index the
-            # workers publish to — thread-tier callers of pool.plan_cache
-            # and the process workers hit one shared tier.
-            self.plan_cache = plan_cache if plan_cache is not None \
-                else LocalPlanCache(backing=process_backend.plan_client())
+                checkpoints=checkpoints)
         self._stop_supervisor = threading.Event()
         self._supervisor: threading.Thread | None = None
         if supervise_interval_s is not None and supervise_interval_s > 0:
@@ -1050,7 +924,9 @@ class WorkerPool:
         (from a pool-owned thread) until a terminal outcome.  Returns the
         pool-wide request id used by :meth:`step`/:meth:`run`/
         :meth:`cancel`.  A submission to a worker mid-restart is
-        buffered and dispatched when its replacement is up."""
+        buffered and dispatched when its replacement is up.  ``env_key``
+        is the content digest of ``session.env``: warm-hit accounting
+        and the process workers' environment memo key on it."""
         if not 0 <= worker_id < self._size:
             raise ValueError(f"worker {worker_id} out of range "
                              f"[0, {self._size})")
@@ -1256,9 +1132,8 @@ class WorkerPool:
             old_backend = self._backend
             # Chaos plans target the tier they were configured for; the
             # degraded tier must be stable, so it runs fault-free.
-            self.plan_cache = LocalPlanCache()
             self._backend = ThreadBackend(
-                self._size, self.plan_cache, self._on_outcome, faults=None,
+                self._size, self._on_outcome, faults=None,
                 checkpoints=self._checkpoints, incarnations=incarnations)
             self.backend_name = "threads"
             self._degraded = True
@@ -1353,8 +1228,7 @@ class WorkerPool:
         a worker still running past that is terminated (threads: left as
         daemons) and reported in a ``RuntimeError`` — shutdown never
         hangs, and a stuck worker is loud instead of silent.  Idempotent;
-        backend resources (shm segments, manager process) are reclaimed
-        before the error is raised.
+        backend resources are reclaimed before the error is raised.
         """
         with self._lock:
             if self._closed:

@@ -16,8 +16,7 @@ asks again.  :class:`SynthesisService` makes that loop first-class:
 * placement is *schema-affine*: requests route by ``(warm key, env
   digest)`` to the worker that already served that shape on those tables
   (hot engine caches), falling back to the least-loaded worker for new
-  shapes; ``routing="round_robin"`` restores blind rotation for
-  comparison;
+  shapes;
 * a request whose config asks for ``workers > 1`` fans out: when the
   pool has idle capacity its next turn runs the session to completion,
   re-dispatching remaining lanes onto shard workers at the round
@@ -51,8 +50,8 @@ accumulated worker error.  The recovery state machine::
 Terminal states are sticky: a late outcome from a dying worker can never
 flip a request out of DONE/CANCELLED/TIMED_OUT/FAILED.
 
-Determinism: slicing is pure preemption and the shm codecs are exact —
-a request's ranked queries and ``SearchStats`` are byte-identical to an
+Determinism: slicing is pure preemption and pickling is exact — a
+request's ranked queries and ``SearchStats`` are byte-identical to an
 uninterrupted serial run of the same session, whichever worker and
 whichever tier (threads or processes, fork or spawn) it lands on, and
 however its slices interleave with other requests.  That same pledge is
@@ -70,11 +69,11 @@ outcomes and talk back only through ``loop.call_soon_threadsafe``.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.lang import ast
-from repro.parallel.plan_cache import env_digest
 from repro.provenance.demo import Demonstration
 from repro.serve.faults import FaultPlan
 from repro.serve.pool import (
@@ -106,8 +105,6 @@ FAILED = "failed"
 #: Once here, a request never leaves (the _fail/_finalize guard).
 TERMINAL_STATES = frozenset({DONE, CANCELLED, TIMED_OUT, FAILED})
 
-ROUTING_MODES = ("affinity", "round_robin")
-
 #: Bound on the routing/env-digest memos — they key on request shapes,
 #: which are few in steady state; a pathological shape churn resets the
 #: maps rather than growing them without bound.
@@ -136,7 +133,6 @@ class ServiceConfig:
     slice_pops: int = 500       # preemption granularity, pops per slice
     default_timeout_s: float | None = None   # per-request budget fallback
     pool_backend: str | None = None  # threads|processes|None ("auto")
-    routing: str = "affinity"   # schema-affine placement | "round_robin"
     max_retries: int = 2        # checkpoint replays per request
     slice_timeout_s: float | None = None  # hang detection (off by default)
     supervise_interval_s: float | None = SUPERVISE_INTERVAL_S
@@ -149,9 +145,6 @@ class ServiceConfig:
             raise ValueError("max_requests must be >= 1")
         if self.slice_pops < 1:
             raise ValueError("slice_pops must be >= 1")
-        if self.routing not in ROUTING_MODES:
-            raise ValueError(f"routing must be one of {ROUTING_MODES}, "
-                             f"got {self.routing!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.slice_timeout_s is not None and self.slice_timeout_s <= 0:
@@ -258,7 +251,6 @@ class SynthesisService:
         self._own_pool = pool is None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._live: set[_Request] = set()
-        self._next_worker = 0
         self._affinity: dict[tuple, int] = {}   # (warm key, env key) -> wid
         self._env_keys: dict = {}               # env -> digest memo
         self._closed = False
@@ -354,11 +346,15 @@ class SynthesisService:
 
     # ----------------------------------------------------------- routing
     def _env_key(self, env: ast.Env) -> str:
+        """Content digest of ``env``: equal tables digest identically
+        whichever process built them (``repr`` covers names, schemas and
+        every cell exactly)."""
         key = self._env_keys.get(env)
         if key is None:
             if len(self._env_keys) >= _ROUTE_MEMO_LIMIT:
                 self._env_keys.clear()
-            key = env_digest(env)
+            key = hashlib.blake2b(repr(env).encode(),
+                                  digest_size=16).hexdigest()
             self._env_keys[env] = key
         return key
 
@@ -367,10 +363,6 @@ class SynthesisService:
         sight (ties to the lowest id, so light load behaves like the old
         round-robin no worse).  Workers currently down — mid-restart —
         are avoided for new placements."""
-        if self.config.routing == "round_robin":
-            worker = self._next_worker % self.pool.size
-            self._next_worker += 1
-            return worker
         route = (key, env_key)
         down = self.pool.down_workers()
         worker = self._affinity.get(route)

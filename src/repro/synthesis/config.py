@@ -52,28 +52,10 @@ class SynthesisConfig:
     # owns its own EvalEngine, and merges the results deterministically —
     # ranked output and search counters are byte-identical to workers=1.
     workers: int = 1
-    # How the ShardPlanner partitions skeletons across workers:
-    #   "cost_rr"     — size-ordered round-robin by estimated lane cost
-    #                   (default; balances load, permutation-insensitive)
-    #   "round_robin" — deal skeletons to shards in enumeration order
-    #   "chunk"       — contiguous slices of the skeleton list
-    shard_strategy: str = "cost_rr"
     # Worker execution vehicle: "process" (default; one OS process per
-    # shard, true parallelism), "thread" (GIL-bound, useful for tests and
-    # platforms without fork), or "serial" (run shards one after another
-    # in-process — the reference semantics the other two must match).
+    # shard, true parallelism) or "serial" (run shards one after another
+    # in-process — the reference semantics the process executor must match).
     parallel_executor: str = "process"
-    # Shared-memory dispatch and cross-shard sub-plan caching
-    # (repro.engine.shm / repro.parallel.plan_cache):
-    #   "auto" — enabled for the process executor (where tables would
-    #            otherwise pickle into every worker), off for thread/serial
-    #   "on"   — force-enable (thread/serial get the in-process sub-plan
-    #            cache; process additionally ships env handles over shm)
-    #   "off"  — force-disable
-    # The REPRO_SHM environment variable, when set, overrides this knob.
-    # Results are identical either way — shm trades dispatch bytes and
-    # redundant evaluation, never search behavior.
-    shm: str = "auto"
 
     # Worklist strategy.  "sized_dfs" (default) explores skeleton sizes
     # smallest-first and completes hole instantiation depth-first within a
@@ -123,13 +105,9 @@ class SynthesisConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.shard_strategy not in ("cost_rr", "round_robin", "chunk"):
-            raise ValueError(f"unknown shard_strategy {self.shard_strategy!r}")
-        if self.parallel_executor not in ("process", "thread", "serial"):
+        if self.parallel_executor not in ("process", "serial"):
             raise ValueError(
                 f"unknown parallel_executor {self.parallel_executor!r}")
-        if self.shm not in ("auto", "on", "off"):
-            raise ValueError(f"unknown shm mode {self.shm!r}")
         if self.workers > 1 and self.strategy != "sized_dfs":
             # Sharded search relies on the lane-per-cycle structure of the
             # sized_dfs worklist; the FIFO strategies share one global queue

@@ -458,12 +458,11 @@ class SynthesisSession:
         """Serialize the session to a resumable blob (side-effect free).
 
         ``strip_env=True`` omits the input environment from the blob —
-        the dispatch mode of the process-backed serving tier, which ships
-        the tables once through the shared-memory column store
-        (:class:`~repro.engine.shm.EnvHandle`) instead of pickling them
-        into every request blob.  A stripped blob must be resumed with
+        the format of the serving tier's slice-boundary replay points,
+        which the service already holds the tables for, so no slice
+        outcome re-ships them.  A stripped blob must be resumed with
         ``resume(blob, env=...)`` supplying an ``==``-identical
-        environment (an shm-attached one qualifies: the codecs are exact).
+        environment.
         """
         if not strip_env:
             return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
@@ -478,7 +477,7 @@ class SynthesisSession:
         The resumed session owns no engine yet — the next ``step`` builds
         a fresh one, or a pool worker attaches a warm one.  ``env``
         re-attaches the environment of an env-stripped blob (and must
-        compare equal to the original; engine and plan-cache keys are
+        compare equal to the original; engine cache keys are
         equality-based, so an equal environment preserves byte-identical
         results).
         """

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from multiprocessing import managers, shared_memory
+
 import pytest
 
 from repro import (
@@ -90,3 +93,41 @@ def tiny_table() -> Table:
         ["B", 1, 20],
         ["B", 2, 15],
     ])
+
+
+def _shm_entries(prefix: str = "reproshm_") -> set[str]:
+    try:
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith(prefix)}
+    except FileNotFoundError:       # pragma: no cover - no /dev/shm
+        return set()
+
+
+@pytest.fixture
+def dispatch_side_channels(monkeypatch):
+    """Record every shared-memory segment created and every
+    ``multiprocessing`` manager started in this process, plus new
+    ``/dev/shm/reproshm_*`` entries from any process.  Call the fixture
+    value to get the list of what was seen (empty means inputs travelled
+    pickled only)."""
+    seen: list[tuple[str, str]] = []
+    real_init = shared_memory.SharedMemory.__init__
+    real_start = managers.BaseManager.start
+
+    def init(self, name=None, create=False, size=0, *args, **kwargs):
+        if create:
+            seen.append(("segment", str(name)))
+        real_init(self, name, create, size, *args, **kwargs)
+
+    def start(self, *args, **kwargs):
+        seen.append(("manager", type(self).__name__))
+        return real_start(self, *args, **kwargs)
+
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", init)
+    monkeypatch.setattr(managers.BaseManager, "start", start)
+    before = _shm_entries()
+
+    def report() -> list[tuple[str, str]]:
+        return seen + [("dev_shm", name)
+                       for name in sorted(_shm_entries() - before)]
+    return report

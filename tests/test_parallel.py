@@ -2,8 +2,9 @@
 
 Covers the mergeable stats (`SearchStats.merge` / `EngineStats.merge`), the
 shard planner (coverage, balance, determinism under permuted input), the
-declarative stop specs, the parallel knob validation (including the shm
-mode), and the dead-worker re-dispatch path of the process executor.
+declarative stop specs, the parallel knob validation, the dead-worker
+re-dispatch path of the process executor, and pickled dispatch (no
+shared-memory segment, no manager process).
 """
 
 import os
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.benchmarks import get_task
-from repro.engine import EngineStats, make_engine, shm
-from repro.parallel import ShardPlanner, estimated_lane_cost, resolve_shm
+from repro.engine import EngineStats, make_engine
+from repro.parallel import ShardPlanner, estimated_lane_cost
 from repro.synthesis import (
     CallableStop,
     GroundTruthStop,
@@ -95,9 +96,8 @@ def skeletons():
 
 
 class TestShardPlanner:
-    @pytest.mark.parametrize("strategy", ("cost_rr", "round_robin", "chunk"))
-    def test_plan_partitions_every_lane_once(self, skeletons, strategy):
-        plan = ShardPlanner(4, strategy).plan(skeletons)
+    def test_plan_partitions_every_lane_once(self, skeletons):
+        plan = ShardPlanner(4).plan(skeletons)
         seen = [lane for shard in plan.shards for lane in shard]
         assert sorted(seen) == list(range(len(skeletons)))
         assert all(list(shard) == sorted(shard) for shard in plan.shards)
@@ -113,14 +113,14 @@ class TestShardPlanner:
         assert plan.n_lanes == 0
 
     def test_cost_rr_balances_estimated_cost(self, skeletons):
-        plan = ShardPlanner(4, "cost_rr").plan(skeletons)
+        plan = ShardPlanner(4).plan(skeletons)
         # Descending-cost round-robin keeps the spread within the largest
         # single lane's cost.
         assert max(plan.costs) - min(plan.costs) <= \
             max(estimated_lane_cost(sk) for sk in skeletons)
 
     def test_cost_rr_membership_invariant_under_permutation(self, skeletons):
-        planner = ShardPlanner(4, "cost_rr")
+        planner = ShardPlanner(4)
         baseline = planner.plan(skeletons).membership(skeletons)
         rng = random.Random(7)
         for _ in range(3):
@@ -129,15 +129,13 @@ class TestShardPlanner:
             assert planner.plan(shuffled).membership(shuffled) == baseline
 
     def test_plan_is_deterministic(self, skeletons):
-        a = ShardPlanner(3, "cost_rr").plan(skeletons)
-        b = ShardPlanner(3, "cost_rr").plan(skeletons)
+        a = ShardPlanner(3).plan(skeletons)
+        b = ShardPlanner(3).plan(skeletons)
         assert a == b
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             ShardPlanner(0)
-        with pytest.raises(ValueError):
-            ShardPlanner(2, "by_vibes")
 
 
 class TestStopSpecs:
@@ -165,38 +163,14 @@ class TestParallelConfig:
         with pytest.raises(ValueError):
             SynthesisConfig(workers=0)
 
-    def test_rejects_unknown_shard_strategy(self):
-        with pytest.raises(ValueError):
-            SynthesisConfig(shard_strategy="by_vibes")
-
     def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError):
-            SynthesisConfig(parallel_executor="gpu")
+        for executor in ("gpu", "thread"):
+            with pytest.raises(ValueError):
+                SynthesisConfig(parallel_executor=executor)
 
     def test_rejects_parallel_fifo_strategies(self):
         with pytest.raises(ValueError):
             SynthesisConfig(workers=2, strategy="bfs")
-
-    def test_rejects_unknown_shm_mode(self):
-        with pytest.raises(ValueError):
-            SynthesisConfig(shm="maybe")
-
-    def test_resolve_shm_modes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        auto = SynthesisConfig(shm="auto")
-        assert resolve_shm(auto, "process") is True
-        assert resolve_shm(auto, "thread") is False
-        assert resolve_shm(auto, "serial") is False
-        assert resolve_shm(SynthesisConfig(shm="on"), "thread") is True
-        assert resolve_shm(SynthesisConfig(shm="off"), "process") is False
-
-    def test_resolve_shm_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "off")
-        assert resolve_shm(SynthesisConfig(shm="on"), "process") is False
-        monkeypatch.setenv("REPRO_SHM", "on")
-        assert resolve_shm(SynthesisConfig(shm="off"), "serial") is True
-        monkeypatch.setenv("REPRO_SHM", "auto")
-        assert resolve_shm(SynthesisConfig(shm="off"), "process") is True
 
     def test_sharded_run_requires_named_abstraction(self):
         task = get_task("fe01_total_sales_per_region")
@@ -273,21 +247,36 @@ class TestDeadWorkerRedispatch:
     def test_crashed_worker_redispatched_once(self, tmp_path):
         task = get_task("fe01_total_sales_per_region")
         flag = str(tmp_path / "crashed")
-        before = set(shm.scan_segments())
         survived = self._run(task, CrashingStop(flag, crashes=1), workers=2)
         # The re-dispatched shard completed: results match the serial
         # reference (whose spec build is a no-op — the flag is spent).
         reference = self._run(task, CrashingStop(flag, crashes=0), workers=1)
         assert survived.queries == reference.queries
         assert survived.stats.visited == reference.stats.visited
-        # The dead worker's segments were reclaimed, nothing leaked.
-        assert set(shm.scan_segments()) == before
 
     def test_twice_dead_worker_raises_instead_of_hanging(self, tmp_path):
         task = get_task("fe01_total_sales_per_region")
         flag = str(tmp_path / "crashed")
-        before = set(shm.scan_segments())
         # Enough crashes that some shard dies on its re-dispatch too.
         with pytest.raises(RuntimeError, match="died"):
             self._run(task, CrashingStop(flag, crashes=8), workers=2)
-        assert set(shm.scan_segments()) == before
+
+
+def test_process_shards_ship_inputs_pickled(dispatch_side_channels):
+    """A ``workers=2`` process-executor run dispatches its inputs pickled:
+    it lays out no shared-memory segment and starts no manager process,
+    and still matches the serial run."""
+    task = get_task("fe20_share_of_region_total")
+    config = task.config.replace(timeout_s=None, max_visited=200)
+    stop = GroundTruthStop(task.ground_truth)
+    reference = Synthesizer("provenance", config).run(
+        task.tables, task.demonstration, stop_predicate=stop)
+    sharded = Synthesizer("provenance", config.replace(
+        workers=2, parallel_executor="process")).run(
+        task.tables, task.demonstration, stop_predicate=stop)
+    assert sharded.workers == 2
+    assert sharded.queries == reference.queries
+    assert sharded.stats.visited == reference.stats.visited
+    assert sharded.engine_stats.shm_bytes_shipped == 0
+    assert sharded.engine_stats.cross_shard_hits == 0
+    assert dispatch_side_channels() == []

@@ -3,18 +3,15 @@
 The ``workers`` knob must trade wall-clock only — never results.  Every
 task in the benchmark registry runs serial (``workers=1``) and sharded
 (``workers=4``); ranked queries and every deterministic search counter
-must match exactly, whatever executor, worker count or shard strategy
+must match exactly, whatever executor, worker count or shard plan
 produced the traces.
 
 Searches run under a visited-query budget (no wall clock) so serial and
 sharded runs traverse identical search prefixes regardless of machine
 speed — the same discipline the engine differential suite uses.
 
-Shared-memory dispatch (``repro.engine.shm``) is part of the pledge: the
-process legs here run with it by default (``shm="auto"``), explicit
-``shm="on"``/``"off"`` legs pin both paths, a fork-vs-spawn leg proves the
-handles survive a cold process boundary, and a session fixture fails the
-suite if any run leaked a ``/dev/shm`` segment.
+Process workers receive their inputs pickled; a fork-vs-spawn leg proves
+the pickled payload survives a cold process boundary.
 """
 
 import multiprocessing
@@ -22,19 +19,7 @@ import multiprocessing
 import pytest
 
 from repro.benchmarks import all_tasks
-from repro.engine import shm
 from repro.synthesis import GroundTruthStop, Synthesizer
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_leaked_shm_segments():
-    """Every segment any run in this module creates must be gone by the
-    end of the session — whatever executor, start method or crash path
-    produced it."""
-    before = set(shm.scan_segments())
-    yield
-    leaked = sorted(set(shm.scan_segments()) - before)
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 #: Mirrors the engine differential budget: enough to cross several
 #: skeletons on every task while keeping the sweep in tens of seconds.
@@ -43,7 +28,8 @@ VISITED_BUDGET = 400
 TASKS = all_tasks()
 
 #: Subset exercising the process executor (fork/queue round-trips are
-#: slower than threads, so the full 80-task sweep uses threads).
+#: slower than in-process shards, so the full 80-task sweep uses the
+#: serial executor).
 PROCESS_TASKS = [t for t in TASKS if t.name in (
     "fe01_total_sales_per_region",
     "fe10_salary_rank_within_dept",
@@ -71,14 +57,11 @@ DETERMINISTIC_FIELDS = ("visited", "pruned", "expanded", "concrete_checked",
                         "max_skeleton_size")
 
 
-def _run(task, workers, executor="thread", stop=None, budget=VISITED_BUDGET,
-         strategy="cost_rr", shm_mode=None):
-    overrides = dict(
-        workers=workers, parallel_executor=executor,
-        shard_strategy=strategy, timeout_s=None, max_visited=budget)
-    if shm_mode is not None:
-        overrides["shm"] = shm_mode
-    config = task.config.replace(**overrides)
+def _run(task, workers, executor="serial", stop=None,
+         budget=VISITED_BUDGET):
+    config = task.config.replace(
+        workers=workers, parallel_executor=executor, timeout_s=None,
+        max_visited=budget)
     synthesizer = Synthesizer("provenance", config)
     return synthesizer.run(task.tables, task.demonstration,
                            stop_predicate=stop)
@@ -136,8 +119,8 @@ def test_numpy_backend_sharded_identical_to_columnar_serial(task):
         return Synthesizer("provenance", config).run(task.tables,
                                                      task.demonstration)
 
-    _assert_identical(serial, _numpy_run(1, "thread"))
-    _assert_identical(serial, _numpy_run(4, "thread"))
+    _assert_identical(serial, _numpy_run(1, "serial"))
+    _assert_identical(serial, _numpy_run(4, "serial"))
     _assert_identical(serial, _numpy_run(4, "process"))
 
 
@@ -146,19 +129,17 @@ def test_numpy_backend_sharded_identical_to_columnar_serial(task):
 def test_stop_predicate_cancellation_identical(task):
     stop = GroundTruthStop(task.ground_truth)
     serial = _run(task, workers=1, stop=stop, budget=2000)
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "process"):
         sharded = _run(task, workers=4, executor=executor, stop=stop,
                        budget=2000)
         _assert_identical(serial, sharded)
 
 
-def test_result_invariant_across_worker_counts_and_strategies():
+def test_result_invariant_across_worker_counts():
     task = PROCESS_TASKS[0]
     serial = _run(task, workers=1)
     for workers in (2, 3, 7):
         _assert_identical(serial, _run(task, workers=workers))
-    for strategy in ("cost_rr", "round_robin", "chunk"):
-        _assert_identical(serial, _run(task, workers=4, strategy=strategy))
 
 
 def test_sharded_respects_visited_budget():
@@ -170,43 +151,9 @@ def test_sharded_respects_visited_budget():
     assert sharded.stats.timed_out == serial.stats.timed_out
 
 
-@pytest.mark.parametrize("task", PROCESS_TASKS[:3],
-                         ids=[t.name for t in PROCESS_TASKS[:3]])
-def test_shm_on_identical_across_executors(task, monkeypatch):
-    """``shm="on"`` forces handle dispatch (process) and the in-process
-    sub-plan cache (thread/serial); none may perturb any result, at
-    either worker count of the acceptance matrix."""
-    monkeypatch.delenv("REPRO_SHM", raising=False)
-    serial = _run(task, workers=1)
-    for executor in ("serial", "thread", "process"):
-        for workers in (2, 4):
-            _assert_identical(serial, _run(task, workers=workers,
-                                           executor=executor, shm_mode="on"))
-
-
-def test_shm_off_pickled_dispatch_still_identical(monkeypatch):
-    """The pre-shm pickled-table path remains a correct fallback."""
-    monkeypatch.delenv("REPRO_SHM", raising=False)
-    task = PROCESS_TASKS[0]
-    serial = _run(task, workers=1)
-    off = _run(task, workers=4, executor="process", shm_mode="off")
-    _assert_identical(serial, off)
-    assert off.engine_stats.shm_segments == 0
-    assert off.engine_stats.shm_bytes_shipped == 0
-
-
-def test_shm_telemetry_counts_dispatch_traffic(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM", raising=False)
-    task = PROCESS_TASKS[0]
-    sharded = _run(task, workers=4, executor="process", shm_mode="on")
-    # At least the coordinator's env segment was laid out and shipped.
-    assert sharded.engine_stats.shm_segments >= 1
-    assert sharded.engine_stats.shm_bytes_shipped > 0
-
-
 def test_fork_vs_spawn_parity(monkeypatch):
-    """The same shm-dispatched run is byte-identical under both start
-    methods: fork (handles inherited) and spawn (handles pickled into a
+    """The same process-executor run is byte-identical under both start
+    methods: fork (inputs inherited) and spawn (inputs pickled into a
     cold interpreter)."""
     task = PROCESS_TASKS[0]
     serial = _run(task, workers=1)
@@ -215,5 +162,4 @@ def test_fork_vs_spawn_parity(monkeypatch):
         if method not in available:
             continue
         monkeypatch.setenv("REPRO_START_METHOD", method)
-        _assert_identical(serial, _run(task, workers=2, executor="process",
-                                       shm_mode="on"))
+        _assert_identical(serial, _run(task, workers=2, executor="process"))

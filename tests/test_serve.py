@@ -38,8 +38,8 @@ EASY = TASKS["fe01_total_sales_per_region"]
 #: Hard task whose search outlasts any budget used here — the one to
 #: keep in flight while testing admission, cancellation and timeouts.
 HARD = TASKS["fh02_region_quarter_share"]
-#: The registry task whose concrete sub-plans are cross-request-cache
-#: eligible (multi-operator blocks that repeat across candidates).
+#: A registry task whose multi-operator sub-plans repeat across
+#: candidates, so a warm engine's block cache matters.
 SHARED = TASKS["fe20_share_of_region_total"]
 
 VISITED_BUDGET = 400
@@ -200,11 +200,9 @@ def test_cancel_mid_flight_returns_partial_result(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_warm_worker_reuses_engine_and_shares_plans(backend):
-    """The pool's two latency tiers: same worker + same request shape
-    reuses the warm engine outright; a *different* worker's fresh engine
-    still gets cross-request sub-plan hits from the shared cache tier
-    (pool-wide dict on threads, shm-digest index across processes)."""
+def test_warm_worker_reuses_engine(backend):
+    """Same worker + same request shape reuses the warm engine outright;
+    a *different* worker builds its own engine.  Results never differ."""
     async def main():
         pool = WorkerPool(2, backend=backend)
         async with SynthesisService(pool=pool) as svc:
@@ -212,7 +210,6 @@ def test_warm_worker_reuses_engine_and_shares_plans(backend):
             cold = svc.submit(SHARED.tables, SHARED.demonstration, config,
                               worker=0)
             first = await cold.result()
-            assert first.engine_stats.cross_shard_hits == 0
 
             # Same worker, same shape: engine served warm from the cache.
             warm = svc.submit(SHARED.tables, SHARED.demonstration, config,
@@ -220,13 +217,11 @@ def test_warm_worker_reuses_engine_and_shares_plans(backend):
             second = await warm.result()
             _assert_identical(first, second)
 
-            # Other worker, fresh engine: the shared sub-plan tier serves
-            # blocks the first request published.
+            # Other worker: a fresh engine of its own.
             other = svc.submit(SHARED.tables, SHARED.demonstration, config,
                                worker=1)
             third = await other.result()
             _assert_identical(first, third)
-            assert third.engine_stats.cross_shard_hits >= 1
 
             telemetry = pool.telemetry()
             assert telemetry["backend"] == backend
@@ -247,32 +242,31 @@ def test_affinity_routing_raises_warm_hit_rate():
     """Schema-affinity placement vs blind rotation on a repeated-schema
     mix cycling through a two-worker pool.  Affinity pins each request
     shape to one worker — exactly one cold serve per distinct
-    ``(warm key, env digest)``; round-robin scatters every shape across
-    both workers — the measurable win the routing exists for."""
-    from repro.parallel.plan_cache import env_digest
-
+    ``(warm key, env)``; a blind router (pinning request ``n`` to worker
+    ``n % 2``) scatters every shape across both workers — the measurable
+    win the routing exists for."""
     mix = [EASY, HARD, SHARED]
     distinct = len({
         (warm_key(_config(task, budget=60, top_n=10**6), "provenance"),
-         env_digest(SynthesisSession(task.tables, task.demonstration).env))
+         SynthesisSession(task.tables, task.demonstration).env)
         for task in mix})
 
-    async def run_mix(routing):
+    async def run_mix(blind):
         svc_cfg = ServiceConfig(pool_size=2, slice_pops=100,
-                                pool_backend="threads", routing=routing)
+                                pool_backend="threads")
         async with SynthesisService(svc_cfg) as svc:
-            for _ in range(3):
-                for task in mix:
-                    handle = svc.submit(task.tables, task.demonstration,
-                                        _config(task, budget=60,
-                                                top_n=10**6))
-                    await handle.result()
+            for n in range(3 * len(mix)):
+                task = mix[n % len(mix)]
+                handle = svc.submit(task.tables, task.demonstration,
+                                    _config(task, budget=60, top_n=10**6),
+                                    worker=n % 2 if blind else None)
+                await handle.result()
             telemetry = svc.pool.telemetry()
         return telemetry["warm_hits"], telemetry["warm_misses"]
 
     async def main():
-        affinity_hits, affinity_misses = await run_mix("affinity")
-        rr_hits, rr_misses = await run_mix("round_robin")
+        affinity_hits, affinity_misses = await run_mix(blind=False)
+        rr_hits, rr_misses = await run_mix(blind=True)
         assert affinity_hits + affinity_misses == 9
         assert rr_hits + rr_misses == 9
         # Perfect stickiness: one cold serve per distinct shape...
@@ -307,8 +301,6 @@ def test_resolve_pool_backend(monkeypatch):
     assert resolve_pool_backend("processes", 4) == "processes"
     with pytest.raises(ValueError, match="unknown pool backend"):
         resolve_pool_backend("fibers", 2)
-    with pytest.raises(ValueError, match="routing"):
-        ServiceConfig(routing="random")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -318,7 +310,7 @@ def test_intra_request_fanout_is_byte_identical(backend):
     and the result is still byte-identical to the serial run."""
     serial = _config(HARD, budget=300, top_n=10**6)
     reference = _reference(HARD, serial)
-    fan = serial.replace(workers=2, parallel_executor="thread")
+    fan = serial.replace(workers=2, parallel_executor="serial")
 
     async def main():
         svc_cfg = ServiceConfig(pool_size=2, slice_pops=30,
@@ -416,23 +408,21 @@ def test_slices_interleave_requests_on_one_worker():
     asyncio.run(main())
 
 
-def test_process_tier_leaves_no_shm_segments():
-    """Every env segment, plan publish and manager resource is reclaimed
-    when the pool closes — the serve-side leak check CI runs on the
-    process tier."""
-    from repro.engine import shm
+def test_process_tier_ships_inputs_pickled(dispatch_side_channels):
+    """A process-tier served request travels as a pickled checkpoint: the
+    pool lays out no shared-memory segment and starts no manager process,
+    and the result still matches the serial run."""
+    config = _config(SHARED)
+    reference = _reference(SHARED, config)
 
     async def main():
         svc_cfg = ServiceConfig(pool_size=2, slice_pops=50,
                                 pool_backend="processes")
         async with SynthesisService(svc_cfg) as svc:
-            prefix = svc.pool._backend.prefix
-            handles = [svc.submit(task.tables, task.demonstration,
-                                  _config(task))
-                       for task in (EASY, SHARED)]
-            for handle in handles:
-                await handle.result()
-        return prefix
+            handle = svc.submit(SHARED.tables, SHARED.demonstration, config)
+            result = await handle.result()
+            assert svc.pool.backend_name == "processes"
+        return result
 
-    prefix = asyncio.run(main())
-    assert shm.scan_segments(prefix) == []
+    _assert_identical(reference, asyncio.run(main()))
+    assert dispatch_side_channels() == []

@@ -14,22 +14,12 @@ import pickle
 import pytest
 
 from repro.benchmarks import all_tasks
-from repro.engine import shm
 from repro.synthesis import (
     GroundTruthStop,
     SynthesisConfig,
     SynthesisSession,
     Synthesizer,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_leaked_shm_segments():
-    before = set(shm.scan_segments())
-    yield
-    leaked = sorted(set(shm.scan_segments()) - before)
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
-
 
 #: Mirrors the parallel differential budget: deterministic prefixes on
 #: every machine, the whole sweep in tens of seconds.
@@ -99,7 +89,7 @@ def test_checkpoint_resume_identical_serial_and_sharded(task):
 
     # Sharded: the same interrupted state re-dispatched onto warm-start
     # shard workers at a round boundary.
-    sharded_cfg = _config(task, workers=4, parallel_executor="thread")
+    sharded_cfg = _config(task, workers=4, parallel_executor="serial")
     session4 = SynthesisSession.resume(session.checkpoint())
     session4.config = sharded_cfg
     result4 = session4.run()
@@ -244,7 +234,7 @@ def test_exhausted_budget_resume_does_not_dispatch():
     consumed = session.stats.visited
     reference = _baseline(task, _config(task, budget=consumed, top_n=10**6))
     session.config = _config(task, budget=consumed, top_n=10**6, workers=4,
-                             parallel_executor="thread")
+                             parallel_executor="serial")
     result = session.run()
     _assert_identical(reference, result)
     assert result.stats.timed_out
@@ -326,7 +316,7 @@ def test_synthesizer_session_entrypoint_matches_run():
 
 def test_workers_require_named_abstraction():
     task = FOCUS_TASKS[0]
-    config = SynthesisConfig(workers=2, parallel_executor="thread")
+    config = SynthesisConfig(workers=2, parallel_executor="serial")
     from repro.abstraction.base import make_abstraction
     session = SynthesisSession(task.tables, task.demonstration, config,
                                abstraction=make_abstraction("none"))
@@ -335,10 +325,10 @@ def test_workers_require_named_abstraction():
 
 
 def test_stripped_checkpoint_resumes_with_supplied_env():
-    """``checkpoint(strip_env=True)`` is the process-tier wire format:
-    the blob carries search state only, the tables travel once over the
-    shared-memory store and are re-attached at resume.  Resuming with
-    the (equal) env is byte-identical to the env-carrying round trip."""
+    """``checkpoint(strip_env=True)`` is the serving tier's replay-point
+    format: the blob carries search state only, and the service, which
+    holds the tables, re-attaches them at resume.  Resuming with the
+    (equal) env is byte-identical to the env-carrying round trip."""
     task = HARD_TASK
     config = _config(task)
     session = _session(task, config)

@@ -3,9 +3,7 @@
 Runs the micro-benchmarks — engine (columnar vs row on the
 forum-easy evaluation hot path), tracking (columnar vs row provenance
 tracking on provenance-heavy forum tasks), consistency (incremental
-checker vs naive Definition 1 on consistency-heavy tasks), numpy
-(vectorized vs pure-python columnar kernels on scaled forum-hard eval
-and tracking; recorded as unavailable without NumPy), parallel
+checker vs naive Definition 1 on consistency-heavy tasks), parallel
 (sharded vs serial on forum-hard experiment mode), dispatch
 (the skewed-lane imbalance of static shard planning), serve (warm-pool
 vs cold request latency on repeated-schema service traffic), pool
@@ -22,8 +20,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/perf_snapshot.py [--out FILE]
         [--engine-rounds N] [--tracking-rounds N] [--consistency-rounds N]
-        [--numpy-rounds N] [--parallel-rounds N] [--serve-pairs N]
-        [--pool-budget N]
+        [--parallel-rounds N] [--serve-pairs N] [--pool-budget N]
 """
 
 from __future__ import annotations
@@ -40,12 +37,10 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import test_consistency_speed as consistency_bench  # noqa: E402
 import test_engine_speed as engine_bench  # noqa: E402
-import test_numpy_speed as numpy_bench  # noqa: E402
 import test_parallel_speed as parallel_bench  # noqa: E402
 import test_serve_speed as serve_bench  # noqa: E402
 import test_tracking_speed as tracking_bench  # noqa: E402
 from repro.benchmarks import easy_tasks  # noqa: E402
-from repro.engine import capabilities  # noqa: E402
 
 
 def _git_commit() -> str | None:
@@ -96,34 +91,6 @@ def consistency_snapshot(rounds: int) -> dict:
         "naive_ms": round(naive_s * 1000, 2),
         "incremental_ms": round(incremental_s * 1000, 2),
         "speedup": round(naive_s / incremental_s, 3),
-    }
-
-
-def numpy_snapshot(rounds: int) -> dict:
-    """NumPy vs columnar on the scaled forum-hard eval + tracking paths.
-
-    Recorded as unavailable (rather than omitted) when NumPy is missing,
-    so the trajectory shows *why* a data point is absent.
-    """
-    if not numpy_bench.HAVE_NUMPY:
-        return {"available": False}
-    workload = numpy_bench.numpy_workload()
-    columnar_s, numpy_s = numpy_bench.measure(workload, rounds)
-    track_columnar_s, track_numpy_s = numpy_bench.measure_tracking(
-        workload, rounds)
-    return {
-        "available": True,
-        "numpy_version": capabilities()["numpy_version"],
-        "tasks": list(numpy_bench.NUMPY_TASKS),
-        "scale_rows": numpy_bench.SCALE_ROWS,
-        "workload_queries": sum(len(qs) for _, qs in workload),
-        "rounds": rounds,
-        "eval_columnar_ms": round(columnar_s * 1000, 2),
-        "eval_numpy_ms": round(numpy_s * 1000, 2),
-        "eval_speedup": round(columnar_s / numpy_s, 3),
-        "tracking_columnar_ms": round(track_columnar_s * 1000, 2),
-        "tracking_numpy_ms": round(track_numpy_s * 1000, 2),
-        "tracking_speedup": round(track_columnar_s / track_numpy_s, 3),
     }
 
 
@@ -181,7 +148,7 @@ def pool_snapshot(budget: int) -> dict:
     with the core count so sub-4-core trajectory points (where the GIL
     comparison is meaningless and the pytest gate skips) are legible.
     """
-    cores = os.cpu_count() or 1
+    cores = parallel_bench.cpu_cores()
     m = serve_bench.concurrency_measurements(budget)
     return {
         "task": serve_bench.CONCURRENT_TASK,
@@ -220,7 +187,6 @@ def main(argv=None) -> int:
     parser.add_argument("--engine-rounds", type=int, default=3)
     parser.add_argument("--tracking-rounds", type=int, default=3)
     parser.add_argument("--consistency-rounds", type=int, default=3)
-    parser.add_argument("--numpy-rounds", type=int, default=3)
     parser.add_argument("--parallel-rounds", type=int, default=2)
     parser.add_argument("--serve-pairs", type=int,
                         default=serve_bench.PAIRS)
@@ -240,7 +206,6 @@ def main(argv=None) -> int:
         "engine": engine_snapshot(args.engine_rounds),
         "tracking": tracking_snapshot(args.tracking_rounds),
         "consistency": consistency_snapshot(args.consistency_rounds),
-        "numpy": numpy_snapshot(args.numpy_rounds),
         "parallel": parallel_snapshot(args.parallel_rounds),
         "dispatch": dispatch_snapshot(),
         "serve": serve_snapshot(args.serve_pairs),

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import os
 import statistics
 import time
 
@@ -46,6 +45,8 @@ from repro.serve import (
     SynthesisService,
     WorkerPool,
 )
+
+from test_parallel_speed import cpu_cores
 
 SERVE_TASK = "fe20_share_of_region_total"
 VISITED_BUDGET = 400
@@ -169,7 +170,7 @@ def concurrency_measurements(budget: int = CONCURRENT_BUDGET) -> dict:
 def test_process_tier_concurrent_throughput():
     """Gated on ≥ 4 cores: four concurrent hard requests run ≥ 2× faster
     on the process tier than on the GIL-shared thread tier."""
-    if (os.cpu_count() or 1) < CONCURRENT_REQUESTS:
+    if cpu_cores() < CONCURRENT_REQUESTS:
         pytest.skip(f"needs >= {CONCURRENT_REQUESTS} cores for a "
                     f"meaningful GIL-contention comparison")
     m = concurrency_measurements()

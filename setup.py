@@ -2,13 +2,7 @@
 network, so PEP 517 editable installs fail; ``pip install -e .
 --no-use-pep517 --no-build-isolation`` uses this shim instead).
 
-The library itself is dependency-free pure Python.  The ``numpy`` extra
-enables the vectorized ``backend="numpy"`` engine kernels::
-
-    pip install -e .[numpy]
-
-Without it, ``backend="numpy"`` degrades to the pure-python columnar
-engine with a logged warning (identical results, slower kernels).
+The library itself is dependency-free pure Python.
 """
 
 from setuptools import find_packages, setup
@@ -23,11 +17,6 @@ setup(
     python_requires=">=3.11",
     install_requires=[],
     extras_require={
-        # Optional vectorized ColumnBlock kernels (repro.engine, the
-        # "numpy" backend).  Any NumPy >= 1.24 works; results are
-        # byte-identical with or without it (enforced by
-        # tests/test_backend_fuzz.py and the differential suites).
-        "numpy": ["numpy>=1.24"],
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },
 )

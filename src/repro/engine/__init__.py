@@ -19,14 +19,7 @@ swappable component:
   too, over :class:`~repro.engine.tracked_columns.TrackedBlock` (an
   expression grid whose value shadow is the shared concrete block).
 
-* :class:`~repro.engine.numpy_kernels.NumpyEngine` — the columnar engine
-  with NumPy-vectorized kernels on the comparison hot paths (filters,
-  join pair-building, sorts, grouping, aggregation, windows, arithmetic).
-  Gated on ``import numpy`` at construction: ``make_engine("numpy")``
-  degrades to the pure-python ``ColumnarEngine`` (with a logged warning)
-  when NumPy is absent, so the knob is always safe to set.
-
-All backends also expose ``evaluate_many`` / ``evaluate_tracking_many``
+Both backends also expose ``evaluate_many`` / ``evaluate_tracking_many``
 — batched evaluation that amortizes dispatch, cache probing and hole
 checking over a stream of sibling candidates — and are held byte-identical
 by the registry-wide differential suites plus the generative cross-backend
@@ -34,7 +27,7 @@ fuzz harness (``tests/test_backend_fuzz.py``).
 
 ``make_engine(name)`` is the factory the synthesis layer uses
 (``SynthesisConfig.backend`` selects the name); ``capabilities()`` reports
-what each name resolves to on this host.
+the selectable names.
 """
 
 from repro.engine.base import BACKENDS, EngineStats, EvalEngine, \
@@ -42,13 +35,12 @@ from repro.engine.base import BACKENDS, EngineStats, EvalEngine, \
 from repro.engine.cache import BoundedCache
 from repro.engine.columnar import ColumnarEngine
 from repro.engine.columns import ColumnBlock
-from repro.engine.numpy_kernels import HAVE_NUMPY, NumpyEngine
 from repro.engine.row import RowEngine
 from repro.engine.tracked_columns import TrackedBlock
 
 __all__ = [
     "BACKENDS", "EngineStats", "EvalEngine", "make_engine",
-    "resolve_backend", "capabilities", "HAVE_NUMPY",
+    "resolve_backend", "capabilities",
     "BoundedCache", "ColumnBlock", "TrackedBlock", "RowEngine",
-    "ColumnarEngine", "NumpyEngine",
+    "ColumnarEngine",
 ]

@@ -30,10 +30,7 @@ from repro.table.table import Table
 DEFAULT_GRID_CACHE = 50_000
 
 #: The selectable evaluation backends (``SynthesisConfig.backend``).
-#: ``"numpy"`` is always selectable — construction falls back to the
-#: pure-python columnar engine (with a logged warning) when NumPy is not
-#: importable; see :func:`resolve_backend` / :func:`capabilities`.
-BACKENDS: tuple[str, ...] = ("row", "columnar", "numpy")
+BACKENDS: tuple[str, ...] = ("row", "columnar")
 
 #: What ``errors="none"`` batch evaluation tolerates: the evaluation
 #: failures of ill-typed candidates (e.g. arithmetic over a NULL-producing
@@ -272,19 +269,11 @@ class EvalEngine:
 
 
 def make_engine(name: str = "columnar", **kwargs) -> EvalEngine:
-    """Factory: ``"row"`` | ``"columnar"`` | ``"numpy"``.
-
-    ``"numpy"`` requires NumPy at engine-construction time; when it is not
-    importable the factory logs a warning once and hands back a
-    :class:`~repro.engine.columnar.ColumnarEngine` — results are identical
-    across backends, so the fallback only trades speed.
-    """
+    """Factory: ``"row"`` | ``"columnar"``."""
     from repro.engine.columnar import ColumnarEngine
-    from repro.engine.numpy_kernels import make_numpy_engine
     from repro.engine.row import RowEngine
 
-    factories = {"row": RowEngine, "columnar": ColumnarEngine,
-                 "numpy": make_numpy_engine}
+    factories = {"row": RowEngine, "columnar": ColumnarEngine}
     try:
         factory = factories[name]
     except KeyError:
@@ -295,38 +284,27 @@ def make_engine(name: str = "columnar", **kwargs) -> EvalEngine:
 
 
 def resolve_backend(name: str) -> str:
-    """The backend ``make_engine(name)`` will actually construct.
-
-    ``"numpy"`` resolves to ``"columnar"`` when NumPy is unavailable;
-    every other known name resolves to itself.  Callers that compare a
-    configured backend against ``engine.name`` (the synthesizer's per-run
-    override detection) must compare resolved names, or a fallback engine
-    would be rebuilt on every run.
-    """
+    """Validate a backend name and return it unchanged."""
     if name not in BACKENDS:
         raise ValueError(
             f"unknown engine backend {name!r}; choose from {sorted(BACKENDS)}")
-    if name == "numpy":
-        from repro.engine.numpy_kernels import HAVE_NUMPY
-
-        return "numpy" if HAVE_NUMPY else "columnar"
     return name
 
 
 def capabilities() -> dict:
-    """Probe of the evaluation backends this process can construct.
+    """The selectable evaluation backends plus host library versions.
 
-    Reports the selectable names, what each resolves to on this host
-    (``"numpy"`` degrades to ``"columnar"`` without NumPy), and the NumPy
-    availability/version driving that resolution.  Experiment drivers log
-    this next to results so a run's effective kernels are reconstructable.
+    Experiment drivers log this next to results.  ``numpy_version`` is
+    read from package metadata (no import); ``None`` when not installed.
     """
-    from repro.engine.numpy_kernels import HAVE_NUMPY, numpy_version
+    import importlib.metadata
 
+    try:
+        numpy_version = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy_version = None
     return {
         "backends": BACKENDS,
         "default_backend": "columnar",
-        "resolved": {name: resolve_backend(name) for name in BACKENDS},
-        "numpy_available": HAVE_NUMPY,
-        "numpy_version": numpy_version(),
+        "numpy_version": numpy_version,
     }

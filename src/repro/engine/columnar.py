@@ -53,9 +53,7 @@ DEFAULT_TRACKING_CACHE = 50_000
 
 #: Cached-selection marker for "every row survives" (``None`` is the
 #: :class:`BoundedCache` miss value, so it cannot be stored directly).
-#: Shared with subclasses that override the selection helpers.
-ALL_ROWS = object()
-_ALL_ROWS = ALL_ROWS
+_ALL_ROWS = object()
 
 
 class ColumnarEngine(EvalEngine):

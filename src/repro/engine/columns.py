@@ -184,23 +184,11 @@ def left_join_pairs(left: ColumnBlock, right: ColumnBlock,
                     pred: Predicate) -> list[tuple[int, int | None]]:
     """(left row, right row | None) pairs of a left outer join, in the row
     interpreter's output order — ``None`` marks a NULL-padded miss."""
-    return left_pairs_from_matched(join_pairs(left, right, pred),
-                                   left.n_rows)
-
-
-def left_pairs_from_matched(matched: Sequence[tuple[int, int]],
-                            n_left_rows: int) -> list[tuple[int, int | None]]:
-    """NULL-pad an inner-join pair list into left-outer-join pairs.
-
-    Factored out of :func:`left_join_pairs` so engines that build the
-    matched pairs differently (the NumPy backend's vectorized comparison)
-    reuse the exact padding/order rules of the reference kernel.
-    """
     by_left: dict[int, list[int]] = {}
-    for i, j in matched:
+    for i, j in join_pairs(left, right, pred):
         by_left.setdefault(i, []).append(j)
     pairs: list[tuple[int, int | None]] = []
-    for i in range(n_left_rows):
+    for i in range(left.n_rows):
         js = by_left.get(i)
         if js:
             pairs.extend((i, j) for j in js)

@@ -11,7 +11,7 @@ Usage::
     python -m repro.experiments.cli serve [options]   # tasks via the service
 
 Options: ``--suite forum|tpcds``, ``--difficulty easy|hard``,
-``--techniques provenance,value,type``, ``--backend row|columnar|numpy``,
+``--techniques provenance,value,type``, ``--backend row|columnar``,
 ``--workers N`` (shard the search across N worker processes),
 ``--easy-timeout S``, ``--hard-timeout S``, ``--tasks name1,name2``,
 ``--csv FILE``.
@@ -151,9 +151,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tasks", help="comma-separated task names")
     parser.add_argument("--techniques", default="provenance,value,type")
     parser.add_argument("--backend", choices=BACKENDS,
-                        help="evaluation engine (default: task-configured; "
-                             "'numpy' falls back to 'columnar' when NumPy "
-                             "is not installed)")
+                        help="evaluation engine (default: task-configured)")
     parser.add_argument("--workers", type=int, default=1,
                         help="shard the search across N worker processes "
                              "(default 1 = serial; results are identical)")

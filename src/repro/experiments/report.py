@@ -152,12 +152,7 @@ def observation_report(results: Sequence[TaskResult]) -> str:
     lines = [f"=== Experiment report over {n_tasks} tasks ===", ""]
     backends = sorted({r.backend for r in results if r.backend})
     if backends:
-        from repro.engine import capabilities
-
-        caps = capabilities()
-        numpy_note = caps["numpy_version"] or "unavailable"
-        lines.append("evaluation backend: " + ", ".join(backends)
-                     + f" (host numpy: {numpy_note})")
+        lines.append("evaluation backend: " + ", ".join(backends))
         workers = sorted({r.workers for r in results})
         lines.append("search workers: "
                      + ", ".join(str(w) for w in workers))

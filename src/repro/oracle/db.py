@@ -2,8 +2,8 @@
 
 SQLite ships with the standard library and is always available.  DuckDB is
 optional: when the module is not installed every DuckDB entry point skips
-cleanly (``HAVE_DUCKDB`` mirrors the engine layer's ``HAVE_NUMPY`` gate),
-and CI runs a leg with it installed so the dialect cannot rot.
+cleanly (``HAVE_DUCKDB`` is the gate), and CI runs a leg with it installed
+so the dialect cannot rot.
 
 Both adapters speak the same tiny surface — ``run`` (DDL / DML),
 ``insert_many`` (bulk parameterized insert) and ``fetch_all`` (query →

@@ -70,8 +70,8 @@ def random_table(rng, name: str) -> Table:
     n_rows = rng.randrange(0, 9)       # 0 rows: empty-table edge case
     n_cols = rng.randrange(1, 5)
     kinds = [rng.choice(COLUMN_KINDS) for _ in range(n_cols)]
-    # Low per-column None probability keeps most columns typed under the
-    # NumPy backend while still exercising the object escape hatch.
+    # Low per-column None probability keeps most columns single-typed
+    # while still exercising NULL handling in every kernel.
     none_p = rng.choice((0.0, 0.0, 0.15, 0.5))
     rows = [tuple(random_value(rng, kinds[j], none_p) for j in range(n_cols))
             for _ in range(n_rows)]

@@ -35,9 +35,9 @@ def parallel_enumerate(env: ast.Env, demo: Demonstration,
     skeletons = construct_skeletons(env, config)
     plan = ShardPlanner(config.workers).plan(skeletons)
     outcomes = run_shards(plan, skeletons, env, demo, config,
-                                    abstraction_spec, stop_spec,
-                                    executor=config.parallel_executor,
-                                    cancel_export=cancel_export)
+                          abstraction_spec, stop_spec,
+                          executor=config.parallel_executor,
+                          cancel_export=cancel_export)
     result = replay_merge(outcomes, config, has_stop=stop_spec is not None)
     result.workers = config.workers
     result.raw_stats = SearchStats.merge(*(o.stats for o in outcomes))
@@ -75,10 +75,10 @@ def parallel_resume(lanes, env: ast.Env, demo: Demonstration,
         costs, [lane_id for lane_id, _ in lanes])
     payloads = [tuple(lanes[idx] for idx in shard) for shard in plan.shards]
     outcomes = run_payloads(payloads, env, demo, run_config,
-                                      abstraction_spec, stop_spec,
-                                      executor=run_config.parallel_executor,
-                                      seeded=True,
-                                      cancel_export=cancel_export)
+                            abstraction_spec, stop_spec,
+                            executor=run_config.parallel_executor,
+                            seeded=True,
+                            cancel_export=cancel_export)
     result = replay_merge(outcomes, config, has_stop=stop_spec is not None,
                           base=base)
     result.workers = config.workers

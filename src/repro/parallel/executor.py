@@ -173,13 +173,10 @@ def pick_context(methods=None, start_method: str | None = None):
         "fork" if "fork" in methods else "spawn")
 
 
-_pick_context = pick_context
-
-
 def _run_processes(payloads, env, demo, config, abstraction_spec,
                    stop_spec, deadline, seeded,
                    cancel_export) -> list[ShardOutcome]:
-    ctx = _pick_context(multiprocessing.get_all_start_methods())
+    ctx = pick_context(multiprocessing.get_all_start_methods())
     cancel = ProcessCancelToken(ctx)
     if cancel_export is not None:
         cancel_export(cancel)

@@ -61,7 +61,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.abstraction.base import Abstraction
-from repro.engine.base import EvalEngine, make_engine, resolve_backend
+from repro.engine.base import EvalEngine, make_engine
 from repro.parallel.executor import pick_context
 from repro.serve.faults import (
     FAULT_EXITCODE,
@@ -135,13 +135,12 @@ def warm_key(config: SynthesisConfig, technique: str) -> tuple:
     """The identity of one warm engine+abstraction pair.
 
     Exactly the configuration fields that select or parameterize
-    evaluation state: the *resolved* backend (a ``numpy`` request degraded
-    to the columnar fallback shares the columnar warm engine), the
-    technique name, and the abstraction knobs ``build_abstraction``
-    consumes.  Everything else (budgets, search-space knobs) rides in the
-    session and never fragments the warm cache.
+    evaluation state: the backend, the technique name, and the
+    abstraction knobs ``build_abstraction`` consumes.  Everything else
+    (budgets, search-space knobs) rides in the session and never
+    fragments the warm cache.
     """
-    return (resolve_backend(config.backend), technique,
+    return (config.backend, technique,
             config.target_refinement, config.value_shadow,
             config.head_typing)
 

@@ -38,11 +38,8 @@ class SynthesisConfig:
 
     # Evaluation backend (repro.engine): "columnar" (default) evaluates over
     # column-major blocks with structural-key subtree caching; "row" is the
-    # row-at-a-time tree interpreter; "numpy" layers vectorized NumPy
-    # kernels over the columnar engine (falling back to "columnar" with a
-    # logged warning when NumPy is not installed).  All backends produce
-    # identical results — the knob trades evaluation strategy, never
-    # search behavior.
+    # row-at-a-time tree interpreter.  Both produce identical results — the
+    # knob trades evaluation strategy, never search behavior.
     backend: str = "columnar"
 
     # --- parallel search ---------------------------------------------------
@@ -95,6 +92,11 @@ class SynthesisConfig:
             raise ValueError(f"unknown operators in pool: {sorted(unknown)}")
         if self.max_operators < 1:
             raise ValueError("max_operators must be >= 1")
+        for name in ("timeout_s", "max_visited", "max_key_cols",
+                     "max_sort_cols"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
         if self.strategy not in ("sized_dfs", "bfs", "dfs"):
@@ -103,6 +105,9 @@ class SynthesisConfig:
 
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
+            raise TypeError(
+                f"workers must be an int, got {type(self.workers).__name__}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.parallel_executor not in ("process", "serial"):

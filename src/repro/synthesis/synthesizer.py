@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from repro.abstraction.base import Abstraction, make_abstraction
-from repro.engine.base import EvalEngine, make_engine, resolve_backend
+from repro.engine.base import EvalEngine, make_engine
 from repro.lang.ast import Env, Query
 from repro.provenance.demo import Demonstration
 from repro.synthesis.config import SynthesisConfig
@@ -59,8 +59,7 @@ class Synthesizer:
                  config: SynthesisConfig | None = None,
                  engine: EvalEngine | None = None) -> None:
         self.config = config or SynthesisConfig()
-        if engine is not None and \
-                engine.name != resolve_backend(self.config.backend):
+        if engine is not None and engine.name != self.config.backend:
             # An explicitly supplied engine defines the session backend —
             # keep the config coherent so run() never mistakes the
             # constructor-level choice for a per-run override.
@@ -117,12 +116,10 @@ class Synthesizer:
                     "the engine argument (or set backend) instead")
             return session
         engine = self.engine
-        if resolve_backend(cfg.backend) != engine.name:
+        if cfg.backend != engine.name:
             # Honor a per-run backend override: this session evaluates on a
             # fresh engine of the requested kind (session caches stay with
-            # the synthesizer's own engine).  Comparison is on *resolved*
-            # names so a "numpy" config degraded to the columnar fallback
-            # keeps its session engine instead of rebuilding every run.
+            # the synthesizer's own engine).
             engine = make_engine(cfg.backend)
         session.attach_engine(engine, self.abstraction)
         return session

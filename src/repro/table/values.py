@@ -17,14 +17,8 @@ import math
 
 Value = int | float | str | bool | None
 
-#: Float comparison tolerances.  Public because the NumPy kernels replicate
-#: :func:`value_eq`'s ``math.isclose`` call vectorized — both sides of the
-#: backend equivalence guarantee must read the same numbers.
-FLOAT_REL_TOL = 1e-9
-FLOAT_ABS_TOL = 1e-9
-
-_REL_TOL = FLOAT_REL_TOL
-_ABS_TOL = FLOAT_ABS_TOL
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-9
 
 
 def is_numeric(v: Value) -> bool:

@@ -1,13 +1,12 @@
 """Generative cross-backend differential harness.
 
-With three engine backends, the repo's core guarantee — the ``backend``
-knob trades evaluation strategy, never results — can no longer be held by
-hand-picked cases alone.  This harness draws seeded random query plans
-over seeded random tables from :mod:`repro.oracle.fuzz`'s backend profile
-(mixed dtypes, ``None`` cells, empty tables, single-row groups,
-tolerance-tripping floats, ints past the NumPy backend's int64-safe
-bound — the generator lives there so the database-oracle suite shares
-it) and asserts that the row, columnar and NumPy backends produce
+The repo's core guarantee — the ``backend`` knob trades evaluation
+strategy, never results — cannot be held by hand-picked cases alone.
+This harness draws seeded random query plans over seeded random tables
+from :mod:`repro.oracle.fuzz`'s backend profile (mixed dtypes, ``None``
+cells, empty tables, single-row groups, tolerance-tripping floats, ints
+past 2**53 — the generator lives there so the database-oracle suite
+shares it) and asserts that the row and columnar backends produce
 
 * identical concrete tables (rows *and* inferred schemas),
 * identical tracked terms and value shadows (term-for-term), and
@@ -17,17 +16,13 @@ it) and asserts that the row, columnar and NumPy backends produce
 raising the same error type whenever a candidate is ill-typed on the
 data.  Everything is deterministic through :func:`repro.util.rng.stable_rng`
 — a failure reproduces from its printed seed alone.
-
-When NumPy is absent the harness still differentials row vs columnar;
-the NumPy comparisons skip cleanly (and CI runs a no-NumPy leg so the
-pure-python fallback cannot rot).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import HAVE_NUMPY, make_engine
+from repro.engine import make_engine
 from repro.oracle.fuzz import fuzz_case as _case
 from repro.oracle.fuzz import random_value as _value
 from repro.provenance.consistency import demo_consistent
@@ -53,7 +48,7 @@ def _outcome(thunk):
 
 
 #: Backends differential against the row-engine reference.
-TARGETS = ["columnar"] + (["numpy"] if HAVE_NUMPY else [])
+TARGETS = ["columnar"]
 
 _BATCHES = [range(start, start + BATCH)
             for start in range(0, N_EVAL_CASES, BATCH)]
@@ -127,13 +122,6 @@ def test_consistency_verdicts_identical_on_random_demos(seeds):
             engine = make_engine(backend)
             verdict = engine.consistency.demo_consistent(query, env, demo)
             assert verdict == oracle, (seed, backend, query)
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-def test_numpy_backend_constructs_numpy_engine():
-    from repro.engine import NumpyEngine
-
-    assert isinstance(make_engine("numpy"), NumpyEngine)
 
 
 def test_fuzz_case_count_meets_acceptance_bar():

@@ -1,13 +1,17 @@
 """The evaluation engine layer: caches, backends, isolation."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
 from repro.engine import (
-    HAVE_NUMPY,
     BoundedCache,
     ColumnarEngine,
     ColumnBlock,
-    NumpyEngine,
     RowEngine,
     capabilities,
     make_engine,
@@ -98,34 +102,34 @@ class TestMakeEngine:
         with pytest.raises(ValueError, match="unknown engine backend"):
             resolve_backend("gpu")
 
-    def test_numpy_backend_resolution(self):
-        engine = make_engine("numpy")
-        if HAVE_NUMPY:
-            assert isinstance(engine, NumpyEngine)
-            assert engine.name == "numpy"
-            assert resolve_backend("numpy") == "numpy"
-        else:
-            # The gate: no NumPy means a pure-python columnar fallback.
-            assert isinstance(engine, ColumnarEngine)
-            assert engine.name == "columnar"
-            assert resolve_backend("numpy") == "columnar"
+    def test_numpy_backend_is_gone(self):
+        from repro.experiments.cli import main
+        from repro.synthesis.config import SynthesisConfig
+
+        with pytest.raises(ValueError, match="unknown backend"):
+            SynthesisConfig(backend="numpy")
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            make_engine("numpy")
+        with pytest.raises(SystemExit):
+            main(["validate", "--backend", "numpy"])
+        import repro
+
+        src = str(Path(repro.__file__).parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.api; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert probe.stdout.strip() == "False"
 
     def test_capabilities_probe(self):
         caps = capabilities()
-        assert set(caps["backends"]) == {"row", "columnar", "numpy"}
+        assert caps["backends"] == ("row", "columnar")
         assert caps["default_backend"] == "columnar"
-        assert caps["resolved"]["columnar"] == "columnar"
-        assert caps["numpy_available"] == HAVE_NUMPY
-        assert (caps["numpy_version"] is not None) == HAVE_NUMPY
-        assert caps["resolved"]["numpy"] == \
-            ("numpy" if HAVE_NUMPY else "columnar")
+        assert "numpy_version" in caps
 
 
-ENGINE_CLASSES = [RowEngine, ColumnarEngine,
-                  pytest.param(NumpyEngine,
-                               marks=pytest.mark.skipif(
-                                   not HAVE_NUMPY,
-                                   reason="NumPy not installed"))]
+ENGINE_CLASSES = [RowEngine, ColumnarEngine]
 
 
 @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
@@ -304,21 +308,51 @@ class TestColumnBlockKernels:
         assert out.row_tuples() == [("A", 35), ("B", 70)]
 
 
-def _backends():
-    return ["row", "columnar"] + (["numpy"] if HAVE_NUMPY else [])
+_M = TableRef("M")
+_FLOATS = [0.3, 0.1 + 0.2, 1.0, 1.0 + 1e-12, 2.0, -0.0, 0.0, 1e12, 1e12 + 1.0]
+
+#: Inputs adversarial to fixed-width or vectorized value representations:
+#: strings with trailing NULs, signed zeros under min/max and accumulate
+#: seeds, float overflow to inf, ints past 2**53, and float equality at
+#: the ``value_eq`` tolerance.
+ADVERSARIAL_CASES = {
+    "trailing-nul": (
+        [("a\x00", "a"), ("b", "b"), ("a", "a\x00")],
+        [Filter(_M, ColCmp(0, "==", 1)), Filter(_M, ConstCmp(0, "==", "a")),
+         Sort(_M, cols=(0,), ascending=True),
+         Group(_M, keys=(0,), agg_func="count", agg_col=1)]),
+    "signed-zero": (
+        [("a", 0.0), ("a", -0.0), ("b", -0.0), ("b", 0.0)],
+        [Group(_M, keys=(0,), agg_func=f, agg_col=1) for f in ("max", "min")]
+        + [Partition(_M, keys=(0,), agg_func=f, agg_col=1)
+           for f in ("cummax", "cummin", "cumsum")]),
+    "float-overflow": (
+        [(1e308, 1e308), (1e308, -1e308), (1e308, 1e-308), (2.0, 3.0)],
+        [Arithmetic(_M, func=f, cols=(0, 1))
+         for f in ("add", "sub", "mul", "div", "percent", "pct_change")]
+        + [Filter(_M, ColCmp(0, op, 1)) for op in ("==", "!=", "<", ">=")]),
+    "int-past-2**53": (
+        [(2**53, 2**53 + 1), (2**53 + 1, float(2**53)), (-(2**63), 2**63),
+         (1, 2)],
+        [Filter(_M, ColCmp(0, op, 1)) for op in ("==", "<", ">=")]
+        + [Filter(_M, ConstCmp(0, "==", 2**53 + 1)),
+           Sort(_M, cols=(1,), ascending=False),
+           Group(_M, keys=(), agg_func="sum", agg_col=0),
+           Arithmetic(_M, func="sub", cols=(1, 0))]),
+    "float-tolerance": (
+        [(v,) for v in _FLOATS],
+        [Filter(_M, ConstCmp(0, "==", c)) for c in (0.3, 1.0, 0.0, 1e12, 2)]),
+}
 
 
 class TestMixedDtypeOrdering:
-    """Sort/aggregate kernels over mixed dtypes and NULLs, all backends.
+    """Sort/aggregate kernels over mixed dtypes and NULLs, row vs columnar.
 
     The contract under test (pinned while building the cross-backend fuzz
-    harness): every backend orders values exactly like the row engine's
-    ``value_sort_key`` — numbers < strings < booleans < NULL, NULLs last
-    ascending and therefore first descending — and aggregates skip NULLs
-    identically, including the typed-array backend whose fixed-width
-    representations (int64, float64, UCS-4) must never leak their own
-    comparison semantics (the fuzzer caught NumPy's trailing-NUL string
-    truncation doing exactly that).
+    harness): the columnar engine orders values exactly like the row
+    engine's ``value_sort_key`` — numbers < strings < booleans < NULL,
+    NULLs last ascending and therefore first descending — and aggregates
+    skip NULLs identically.
     """
 
     def _mixed_env(self):
@@ -328,16 +362,15 @@ class TestMixedDtypeOrdering:
 
     def _assert_all_backends_match(self, queries, env):
         reference = RowEngine()
+        engine = ColumnarEngine()
         for query in queries:
             expected = reference.evaluate(query, env)
-            tracked = reference.evaluate_tracking(query, env)
-            for backend in _backends()[1:]:
-                engine = make_engine(backend)
-                actual = engine.evaluate(query, env)
-                assert actual.rows == expected.rows, (backend, query)
-                assert actual.schema == expected.schema, (backend, query)
-                assert engine.evaluate_tracking(query, env) == tracked, \
-                    (backend, query)
+            actual = engine.evaluate(query, env)
+            # repr, not ==: 0.0 == -0.0 would hide a signed-zero slip.
+            assert repr(actual.rows) == repr(expected.rows), query
+            assert actual.schema == expected.schema, query
+            assert engine.evaluate_tracking(query, env) == \
+                reference.evaluate_tracking(query, env), query
 
     def test_sort_null_ordering_matches_row_engine(self):
         env = self._mixed_env()
@@ -377,88 +410,17 @@ class TestMixedDtypeOrdering:
                              "cummax", "cummin", "count")]
         self._assert_all_backends_match(queries, env)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_nul_bearing_strings_stay_on_object_path(self):
-        """NumPy's UCS-4 arrays drop trailing NUL codepoints; such columns
-        must never be typed or "a\\x00" compares equal to "a"."""
-        from repro.engine.numpy_kernels import classify_column
-        assert classify_column(["a\x00", "a"]).is_object
-        assert classify_column(["a", "b"]).kind == "str"
-        env = Env.of(Table.from_rows("M", ["a", "b"],
-                                     [("a\x00", "a"), ("b", "b")]))
-        q = Filter(TableRef("M"), ColCmp(0, "==", 1))
-        assert make_engine("numpy").evaluate(q, env).rows == \
-            RowEngine().evaluate(q, env).rows == (("b", "b"),)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_negative_zero_ties_match_row_engine_bitwise(self):
-        """NumPy min/max reductions and accumulate seeds pick the other
-        signed zero than the reference fold; 0.0 == -0.0 makes plain
-        equality assertions blind, so compare reprs.  Columns containing
-        -0.0 must classify as object (fuzz-harness finding)."""
-        from repro.engine.numpy_kernels import classify_column
-        assert classify_column([0.0, -0.0]).is_object
-        assert classify_column([0.0, 1.5]).kind == "float"
-        env = Env.of(Table.from_rows("M", ["k", "v"],
-                                     [("a", 0.0), ("a", -0.0)]))
-        queries = [Group(TableRef("M"), keys=(0,), agg_func=f, agg_col=1)
-                   for f in ("max", "min")]
-        queries += [Partition(TableRef("M"), keys=(0,), agg_func=f,
-                              agg_col=1)
-                    for f in ("cummax", "cummin", "cumsum")]
-        for query in queries:
-            expected = RowEngine().evaluate(query, env)
-            actual = make_engine("numpy").evaluate(query, env)
-            assert repr(actual.rows) == repr(expected.rows), query
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_float_overflow_matches_row_engine_without_warnings(self):
-        """Python float arithmetic overflows silently to inf; the NumPy
-        kernels must not leak RuntimeWarnings (backend-dependent errors
-        under -W error) and must produce the same inf cells."""
-        import warnings
+    @pytest.mark.parametrize("rows, queries",
+                             list(ADVERSARIAL_CASES.values()),
+                             ids=list(ADVERSARIAL_CASES))
+    def test_adversarial_inputs_match_row_engine(self, rows, queries):
         env = Env.of(Table.from_rows(
-            "M", ["a", "b"],
-            [(1e308, 1e308), (1e308, -1e308), (1e308, 1e-308), (2.0, 3.0)]))
-        t = TableRef("M")
-        queries = [Arithmetic(t, func=f, cols=(0, 1))
-                   for f in ("add", "sub", "mul", "div", "percent",
-                             "pct_change")]
-        queries += [Filter(t, ColCmp(0, op, 1))
-                    for op in ("==", "!=", "<", ">=")]
+            "M", [f"c{j}" for j in range(len(rows[0]))], rows))
         with warnings.catch_warnings():
+            # Python float arithmetic overflows silently to inf; no kernel
+            # may turn that into a warning (an error under -W error).
             warnings.simplefilter("error")
-            for query in queries:
-                expected = RowEngine().evaluate(query, env)
-                assert make_engine("numpy").evaluate(query, env).rows == \
-                    expected.rows, query
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_typed_column_classification(self):
-        from repro.engine.numpy_kernels import INT_SAFE, classify_column
-        assert classify_column([1, 2, 3]).kind == "int"
-        assert classify_column([1.0, 2.5]).kind == "float"
-        assert classify_column(["a", "b"]).kind == "str"
-        # Escape hatches: None cells, bools, mixed classes, unsafe ints,
-        # non-finite floats, empty columns.
-        assert classify_column([1, None]).is_object
-        assert classify_column([True, False]).is_object
-        assert classify_column([1, 2.0]).is_object
-        assert classify_column([1, INT_SAFE + 1]).is_object
-        assert classify_column([1.0, float("inf")]).is_object
-        assert classify_column([]).is_object
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_float_equality_tolerance_matches_value_eq(self):
-        from repro.table.values import value_eq
-        values = [0.3, 0.1 + 0.2, 1.0, 1.0 + 1e-12, 2.0, -0.0, 0.0, 1e12,
-                  1e12 + 1.0]
-        env = Env.of(Table.from_rows("M", ["v"], [(v,) for v in values]))
-        for const in (0.3, 1.0, 0.0, 1e12, 2):
-            q = Filter(TableRef("M"), ConstCmp(0, "==", const))
-            expected = tuple((v,) for v in values if value_eq(v, const))
-            assert make_engine("numpy").evaluate(q, env).rows == expected
-            assert RowEngine().evaluate(q, env).rows == expected
+            self._assert_all_backends_match(queries, env)
 
     def test_cross_class_comparisons_match(self):
         env = self._mixed_env()

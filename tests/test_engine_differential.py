@@ -1,10 +1,9 @@
 """Differential backend tests.
 
 The ``backend`` knob must trade evaluation strategy only — never results.
-Every task in the benchmark registry runs through ``RowEngine``,
-``ColumnarEngine`` and (when NumPy is installed — the parametrization
-skips cleanly otherwise) ``NumpyEngine``; ranked queries and the search
-counters the paper reports (``pruned`` / ``visited``) must match exactly.
+Every task in the benchmark registry runs through ``RowEngine`` and
+``ColumnarEngine``; ranked queries and the search counters the paper
+reports (``pruned`` / ``visited``) must match exactly.
 
 Searches run under a visited-query budget (no wall clock) so the
 backends traverse identical search prefixes regardless of machine speed.
@@ -13,7 +12,7 @@ backends traverse identical search prefixes regardless of machine speed.
 import pytest
 
 from repro.benchmarks import all_tasks, instantiation_stream
-from repro.engine import HAVE_NUMPY, RowEngine, make_engine
+from repro.engine import RowEngine, make_engine
 from repro.synthesis.synthesizer import Synthesizer
 
 #: Enough budget to cross several skeletons on every task while keeping the
@@ -26,11 +25,7 @@ TRACKING_CANDIDATES = 24
 TASKS = all_tasks()
 
 #: Backends differentialed against the row-engine reference, all 80 tasks.
-TARGET_BACKENDS = ["columnar",
-                   pytest.param("numpy",
-                                marks=pytest.mark.skipif(
-                                    not HAVE_NUMPY,
-                                    reason="NumPy not installed"))]
+TARGET_BACKENDS = ["columnar"]
 
 
 def concrete_candidates(task, cap):

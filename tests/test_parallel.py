@@ -163,6 +163,18 @@ class TestParallelConfig:
         with pytest.raises(ValueError):
             SynthesisConfig(workers=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_visited", -5), ("timeout_s", -1.0), ("max_key_cols", -1),
+        ("max_sort_cols", -3)])
+    def test_rejects_negative_budgets_and_sizes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthesisConfig(**{field: value})
+
+    @pytest.mark.parametrize("workers", [2.5, True, "2"])
+    def test_rejects_non_int_workers(self, workers):
+        with pytest.raises(TypeError, match="workers"):
+            SynthesisConfig(workers=workers)
+
     def test_rejects_unknown_executor(self):
         for executor in ("gpu", "thread"):
             with pytest.raises(ValueError):

@@ -58,10 +58,10 @@ DETERMINISTIC_FIELDS = ("visited", "pruned", "expanded", "concrete_checked",
 
 
 def _run(task, workers, executor="serial", stop=None,
-         budget=VISITED_BUDGET):
+         budget=VISITED_BUDGET, **overrides):
     config = task.config.replace(
         workers=workers, parallel_executor=executor, timeout_s=None,
-        max_visited=budget)
+        max_visited=budget, **overrides)
     synthesizer = Synthesizer("provenance", config)
     return synthesizer.run(task.tables, task.demonstration,
                            stop_predicate=stop)
@@ -97,33 +97,6 @@ def test_process_workers_identical_to_serial(task):
     _assert_identical(serial, sharded)
 
 
-@pytest.mark.parametrize("task", PROCESS_TASKS,
-                         ids=[t.name for t in PROCESS_TASKS])
-def test_numpy_backend_sharded_identical_to_columnar_serial(task):
-    """The backend and workers knobs compose: a numpy workers=4 run is
-    byte-identical to the columnar serial reference (per-worker engines
-    are rebuilt from ``config.backend`` inside each shard).  Without
-    NumPy this still passes — backend="numpy" falls back to columnar —
-    which is exactly the fallback contract under test.
-    """
-    from repro.engine import HAVE_NUMPY, NumpyEngine, make_engine
-
-    if HAVE_NUMPY:
-        assert isinstance(make_engine("numpy"), NumpyEngine)
-    serial = _run(task, workers=1)
-
-    def _numpy_run(workers, executor):
-        config = task.config.replace(
-            backend="numpy", workers=workers, parallel_executor=executor,
-            timeout_s=None, max_visited=VISITED_BUDGET)
-        return Synthesizer("provenance", config).run(task.tables,
-                                                     task.demonstration)
-
-    _assert_identical(serial, _numpy_run(1, "serial"))
-    _assert_identical(serial, _numpy_run(4, "serial"))
-    _assert_identical(serial, _numpy_run(4, "process"))
-
-
 @pytest.mark.parametrize("task", STOP_TASKS,
                          ids=[t.name for t in STOP_TASKS])
 def test_stop_predicate_cancellation_identical(task):
@@ -140,6 +113,10 @@ def test_result_invariant_across_worker_counts():
     serial = _run(task, workers=1)
     for workers in (2, 3, 7):
         _assert_identical(serial, _run(task, workers=workers))
+    # The backend and workers knobs compose: each shard process builds its
+    # engine from config.backend.
+    _assert_identical(serial, _run(task, workers=4, executor="process",
+                                   backend="row"))
 
 
 def test_sharded_respects_visited_budget():

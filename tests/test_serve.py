@@ -14,7 +14,6 @@ import multiprocessing
 import pytest
 
 from repro.benchmarks import all_tasks
-from repro.engine.base import resolve_backend
 from repro.serve import (
     ServiceConfig,
     ServiceOverloaded,
@@ -90,19 +89,16 @@ def test_request_matches_uninterrupted_run():
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-@pytest.mark.parametrize("engine", ["columnar", "numpy"])
-def test_differential_thread_vs_process_tiers(start_method, engine):
+def test_differential_thread_vs_process_tiers(start_method):
     """The tentpole differential: the same request set produces identical
     ranked queries and SearchStats on the thread-backed and the
-    process-backed pool, under fork and spawn, columnar and numpy."""
+    process-backed pool, under fork and spawn."""
     if start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} not supported here")
-    if engine == "numpy" and resolve_backend("numpy") != "numpy":
-        pytest.skip("NumPy not installed (numpy backend degrades)")
     requests = [
-        (EASY, _config(EASY, backend=engine),
+        (EASY, _config(EASY, backend="columnar"),
          GroundTruthStop(EASY.ground_truth)),
-        (SHARED, _config(SHARED, backend=engine, top_n=5), None),
+        (SHARED, _config(SHARED, backend="columnar", top_n=5), None),
     ]
     references = [_reference(task, config, stop)
                   for task, config, stop in requests]
@@ -283,10 +279,6 @@ def test_warm_key_ignores_budgets_but_splits_techniques():
     assert warm_key(base, "provenance") == \
         warm_key(base.replace(max_visited=7, top_n=3), "provenance")
     assert warm_key(base, "provenance") != warm_key(base, "value")
-    # A numpy request degraded to the fallback shares that warm engine.
-    if resolve_backend("numpy") == resolve_backend("columnar"):
-        assert warm_key(base.replace(backend="numpy"), "provenance") == \
-            warm_key(base.replace(backend="columnar"), "provenance")
 
 
 def test_resolve_pool_backend(monkeypatch):

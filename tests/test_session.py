@@ -96,10 +96,9 @@ def test_checkpoint_resume_identical_serial_and_sharded(task):
     _assert_identical(reference, result4)
 
 
-@pytest.mark.parametrize("backend", ("row", "columnar", "numpy"))
+@pytest.mark.parametrize("backend", ("row", "columnar"))
 def test_checkpoint_resume_identical_on_every_backend(backend):
-    """The round-trip holds on all three engine backends (numpy degrades
-    to columnar without NumPy — the fallback contract is part of this)."""
+    """The round-trip holds on both engine backends."""
     for task in FOCUS_TASKS:
         config = _config(task, backend=backend)
         reference = _baseline(task, config)

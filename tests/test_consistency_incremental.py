@@ -23,18 +23,6 @@ CANDIDATES = 40
 
 TASKS = all_tasks()
 
-#: Row-backend subset (the generic ``tracked_columns_many`` transpose
-#: path): the full 80-task sweep runs columnar — the synthesis default and
-#: the backend whose column sharing the memo exploits.
-ROW_TASKS = [t for t in TASKS if t.name in (
-    "fe01_total_sales_per_region",
-    "fe09_cumulative_units_per_product",
-    "fe10_salary_rank_within_dept",
-    "fe20_share_of_region_total",
-    "fh02_region_quarter_share",
-    "td03_category_profit_rank",
-)]
-
 
 def concrete_candidates(task, cap=CANDIDATES):
     """The task's real instantiation stream (shared helper)."""
@@ -59,8 +47,11 @@ def test_incremental_matches_oracle_columnar(task):
     assert_matches_oracle(task, "columnar")
 
 
-@pytest.mark.parametrize("task", ROW_TASKS, ids=[t.name for t in ROW_TASKS])
+@pytest.mark.parametrize("task", TASKS, ids=[t.name for t in TASKS])
 def test_incremental_matches_oracle_row(task):
+    """The generic ``tracked_columns_many`` transpose path (row-major
+    grids, shared by identity only per candidate) drives the checker to
+    the oracle's verdicts too."""
     assert_matches_oracle(task, "row")
 
 

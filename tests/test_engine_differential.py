@@ -5,6 +5,10 @@ Every task in the benchmark registry runs through ``RowEngine`` and
 ``ColumnarEngine``; ranked queries and the search counters the paper
 reports (``pruned`` / ``visited``) must match exactly.
 
+Each backend is also held to itself on every task: batched evaluation
+returns what single calls return, and a cache warmed over other rows
+under the same query keys answers as a fresh engine does.
+
 Searches run under a visited-query budget (no wall clock) so the
 backends traverse identical search prefixes regardless of machine speed.
 """
@@ -12,7 +16,9 @@ backends traverse identical search prefixes regardless of machine speed.
 import pytest
 
 from repro.benchmarks import all_tasks, instantiation_stream
-from repro.engine import RowEngine, make_engine
+from repro.engine import BACKENDS, RowEngine, make_engine
+from repro.engine.base import BATCH_EVAL_ERRORS
+from repro.lang.ast import Env
 from repro.synthesis.synthesizer import Synthesizer
 
 #: Enough budget to cross several skeletons on every task while keeping the
@@ -32,6 +38,39 @@ def concrete_candidates(task, cap):
     """The first ``cap`` concrete queries of the task's instantiation
     stream — the exact population Algorithm 1 feeds ``evaluate_tracking``."""
     return instantiation_stream(task, cap, engine=RowEngine())
+
+
+_POPULATIONS: dict = {}
+
+
+def population(task):
+    """The tracking sweep's candidates plus q_gt, computed once per task."""
+    if task.name not in _POPULATIONS:
+        queries = concrete_candidates(task, TRACKING_CANDIDATES)
+        queries.append(task.ground_truth)
+        _POPULATIONS[task.name] = queries
+    return _POPULATIONS[task.name]
+
+
+def evaluate_each(engine, queries, env, tracking=False):
+    """One single-query call per candidate, in order; a candidate that is
+    ill-typed on ``env`` maps to ``None`` (the batched ``errors="none"``
+    convention)."""
+    evaluate = engine.evaluate_tracking if tracking else engine.evaluate
+    out = []
+    for query in queries:
+        try:
+            out.append(evaluate(query, env))
+        except BATCH_EVAL_ERRORS:
+            out.append(None)
+    return out
+
+
+def without_first_rows(env):
+    """``env`` with the first row of every table dropped: the same table
+    names and schemas, so every candidate's cache key recurs, over other
+    rows."""
+    return Env(tuple(t.take_rows(range(1, t.n_rows)) for t in env.tables))
 
 
 def _run(task, backend: str):
@@ -141,3 +180,46 @@ def test_interleaved_sessions_do_not_share_state():
     assert a.engine is not b.engine
     assert b.engine.stats.concrete_evals > 0
     assert a.engine.stats.concrete_evals > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("task", TASKS, ids=[t.name for t in TASKS])
+def test_batched_matches_single_evaluation(task, backend):
+    """``evaluate_many`` / ``evaluate_tracking_many`` over the task's real
+    candidate stream return exactly what the single calls return, in input
+    order, and advance the cache counters exactly as those calls do."""
+    queries, env = population(task), task.env
+    batched, single = make_engine(backend), make_engine(backend)
+    assert batched.evaluate_many(queries, env, errors="none") == \
+        evaluate_each(single, queries, env)
+    assert batched.evaluate_tracking_many(queries, env, errors="none") == \
+        evaluate_each(single, queries, env, tracking=True)
+    assert batched.stats.as_dict() == single.stats.as_dict()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("task", TASKS, ids=[t.name for t in TASKS])
+def test_warm_engine_matches_fresh(task, backend):
+    """Engine caches are keyed by environment as well as by query.
+
+    An engine that has already evaluated, tracked and checked the task's
+    own candidates over the same tables minus their first rows — identical
+    query keys against different data — must still answer them over the
+    real tables exactly as a fresh engine does.
+    """
+    queries, env = population(task), task.env
+    other = without_first_rows(env)
+    warm = make_engine(backend)
+    evaluate_each(warm, queries, other)
+    evaluate_each(warm, queries, other, tracking=True)
+    warm.consistency.demo_consistent_many(queries, other, task.demonstration)
+
+    fresh = make_engine(backend)
+    assert evaluate_each(warm, queries, env) == \
+        evaluate_each(fresh, queries, env)
+    assert evaluate_each(warm, queries, env, tracking=True) == \
+        evaluate_each(fresh, queries, env, tracking=True)
+    assert warm.consistency.demo_consistent_many(
+        queries, env, task.demonstration) == \
+        fresh.consistency.demo_consistent_many(queries, env,
+                                               task.demonstration)

@@ -20,6 +20,7 @@ from repro.abstraction import (
     ValueAbstraction,
     abstract_eval,
 )
+from repro.provenance.refs import RefIndex
 from health_program import build_demo, build_table  # sibling example module
 
 H = Hole
@@ -43,8 +44,9 @@ def main() -> None:
     print(f"\nAbstract output: {abs_table.n_rows} rows x "
           f"{abs_table.n_cols} cols")
     print("Abstract provenance of output row 1:")
+    decode = RefIndex(env).decode       # cell refs are bitsets over env
     for j in range(abs_table.n_cols):
-        refs = sorted(repr(r) for r in abs_table.cell(0, j).refs)
+        refs = sorted(repr(r) for r in decode(abs_table.cell(0, j).refs))
         shown = ", ".join(refs[:4]) + (" ..." if len(refs) > 4 else "")
         print(f"  col {j}: {{{shown}}}")
 

@@ -4,7 +4,8 @@ Each abstract cell carries
 
 * ``refs`` — a set of input-cell references over-approximating every input
   value that can flow into this position under *any* instantiation of the
-  partial query (the paper's ``T◦[i, j]``), and
+  partial query (the paper's ``T◦[i, j]``), as a bitset over the env's
+  :class:`~repro.provenance.refs.RefIndex` numbering, and
 * an optional concrete shadow value (``known`` + ``value``) — exact cell
   values survive operators that only move rows around, and they are what
   lets the analyzer apply the *strong* abstraction tier (grouping needs
@@ -14,11 +15,10 @@ Each abstract cell carries
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.provenance.expr import CellRef
+from repro.lang.ast import install_cached_hash
 from repro.table.values import Value
-
-EMPTY_REFS: frozenset[CellRef] = frozenset()
 
 
 #: What kind of term a cell can hold under the tracking semantics:
@@ -32,6 +32,8 @@ HEAD_RANKER = "ranker"
 HEAD_ARITHMETIC = "arithmetic"
 HEAD_WINDOW = "window"
 HEAD_ANY = "any"
+HEADS = (HEAD_REF, HEAD_AGGREGATE, HEAD_RANKER, HEAD_ARITHMETIC, HEAD_WINDOW,
+         HEAD_ANY)
 
 
 def head_matches(demo_kind: str, host_head: str) -> bool:
@@ -44,22 +46,20 @@ def head_matches(demo_kind: str, host_head: str) -> bool:
     return demo_kind == host_head
 
 
-@dataclass(frozen=True)
-class AbstractCell:
-    """One cell of an abstract table."""
+class AbstractCell(NamedTuple):
+    """One cell of an abstract table (a tuple: C-level hash and equality).
 
-    refs: frozenset[CellRef]
+    Only known cells carry a value, so a cell's fields are also its
+    signature for deduplication.
+    """
+
+    refs: int
     value: Value = None
     known: bool = False
     head: str = HEAD_ANY
 
     @staticmethod
-    def of_ref(ref: CellRef, value: Value) -> "AbstractCell":
-        return AbstractCell(frozenset((ref,)), value, True, HEAD_REF)
-
-    @staticmethod
-    def unknown(refs: frozenset[CellRef],
-                head: str = HEAD_ANY) -> "AbstractCell":
+    def unknown(refs: int, head: str = HEAD_ANY) -> "AbstractCell":
         return AbstractCell(refs, None, False, head)
 
 
@@ -94,15 +94,6 @@ class AbstractTable:
         """True when every cell of every listed column has a known value."""
         return all(row[c].known for row in self.rows for c in cols)
 
-    def all_refs(self) -> frozenset[CellRef]:
-        out: frozenset[CellRef] = EMPTY_REFS
-        for row in self.rows:
-            for c in row:
-                out |= c.refs
-        return out
 
-    def row_refs(self, i: int) -> frozenset[CellRef]:
-        out: frozenset[CellRef] = EMPTY_REFS
-        for c in self.rows[i]:
-            out |= c.refs
-        return out
+# Tables key the analyzer's caches and the verdict memo: hash each once.
+install_cached_hash(AbstractTable)

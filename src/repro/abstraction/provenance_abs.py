@@ -25,6 +25,9 @@ Concrete subqueries are evaluated under the tracking semantics and lifted,
 exactly as §4 prescribes ("the analyzer will evaluate q using
 provenance-tracking semantics ... to achieve stronger analysis").
 
+Cell refs are bitsets over the env's :class:`~repro.provenance.refs.RefIndex`
+numbering: every union below is an integer ``|``.
+
 All memoization lives in :class:`ProvenanceAnalyzer` *instances* (bounded
 caches) — there is no module-global evaluation state, so independent
 synthesis sessions never share or clobber each other's results.
@@ -36,8 +39,8 @@ from collections import OrderedDict
 
 from repro.abstraction.base import Abstraction
 from repro.abstraction.cells import (
-    EMPTY_REFS,
     HEAD_AGGREGATE,
+    HEAD_ANY,
     HEAD_ARITHMETIC,
     HEAD_REF,
     HEAD_WINDOW,
@@ -53,7 +56,7 @@ from repro.lang.functions import analytic_spec, apply_function, function_spec
 from repro.lang.holes import Hole, is_concrete
 from repro.provenance.demo import Demonstration
 from repro.provenance.expr import FuncApp, GroupSet
-from repro.provenance.refs import refs_of
+from repro.provenance.refs import RefIndex
 from repro.semantics.groups import extract_groups, group_index_map
 
 DEFAULT_EVAL_CACHE = 100_000
@@ -77,8 +80,8 @@ def _analytic_head(func_name: str | None) -> str:
     return function_spec(analytic_spec(func_name).term_name).kind
 
 
-def _union_refs(cells) -> frozenset:
-    out = EMPTY_REFS
+def _union_refs(cells) -> int:
+    out = 0
     for c in cells:
         out |= c.refs
     return out
@@ -86,7 +89,6 @@ def _union_refs(cells) -> frozenset:
 
 def _join_heads(cells) -> str:
     """Common head of a cell collection; ``any`` when they disagree."""
-    from repro.abstraction.cells import HEAD_ANY
     heads = {c.head for c in cells}
     if len(heads) == 1:
         return next(iter(heads))
@@ -115,6 +117,7 @@ class ProvenanceAnalyzer:
         self._groupings: BoundedCache = BoundedCache(helper_cache_size)
         self._group_key_cells: BoundedCache = BoundedCache(helper_cache_size)
         self._group_pool_refs: BoundedCache = BoundedCache(helper_cache_size)
+        self._ref_indexes: BoundedCache = BoundedCache(helper_cache_size)
 
     def clear(self) -> None:
         """Drop memoized abstract results (between experiment runs)."""
@@ -125,6 +128,14 @@ class ProvenanceAnalyzer:
         self._groupings.clear()
         self._group_key_cells.clear()
         self._group_pool_refs.clear()
+        self._ref_indexes.clear()
+
+    def ref_index(self, env: ast.Env) -> RefIndex:
+        """This analyzer's bit numbering of ``env``'s input cells."""
+        index = self._ref_indexes.get(env)
+        if index is None:
+            index = self._ref_indexes[env] = RefIndex(env)
+        return index
 
     # ---------------------------------------------------------------- entry
     def abstract_eval(self, query: ast.Query, env: ast.Env,
@@ -187,11 +198,11 @@ class ProvenanceAnalyzer:
         tracking evaluation (§4: concrete subqueries are evaluated under
         the tracking semantics for stronger analysis) — one engine dispatch
         for the whole sibling family."""
+        bits = self.ref_index(env).bits
         out = []
         for tracked in self.engine.evaluate_tracking_many(queries, env):
             rows = tuple(
-                tuple(AbstractCell(refs_of(expr), value, True,
-                                   _expr_head(expr))
+                tuple(AbstractCell(bits(expr), value, True, _expr_head(expr))
                       for expr, value in zip(expr_row, value_row))
                 for expr_row, value_row in zip(tracked.exprs, tracked.values))
             out.append(AbstractTable(rows, rows_exact=True))
@@ -206,7 +217,7 @@ class ProvenanceAnalyzer:
             self._column_heads[child] = hit
         return hit
 
-    def column_unions(self, child: AbstractTable) -> tuple[frozenset, ...]:
+    def column_unions(self, child: AbstractTable) -> tuple[int, ...]:
         hit = self._column_unions.get(child)
         if hit is None:
             hit = tuple(_union_refs(child.column(j))
@@ -214,7 +225,7 @@ class ProvenanceAnalyzer:
             self._column_unions[child] = hit
         return hit
 
-    def table_union(self, child: AbstractTable) -> frozenset:
+    def table_union(self, child: AbstractTable) -> int:
         hit = self._table_unions.get(child)
         if hit is None:
             hit = _union_refs(c for row in child.rows for c in row)
@@ -254,7 +265,7 @@ class ProvenanceAnalyzer:
         return hit
 
     def group_pool_refs(self, child: AbstractTable, keys: tuple[int, ...],
-                        agg_pool: tuple[int, ...]) -> tuple[frozenset, ...]:
+                        agg_pool: tuple[int, ...]) -> tuple[int, ...]:
         """Per-group union of refs over the aggregation candidate columns."""
         key = (child, keys, agg_pool)
         hit = self._group_pool_refs.get(key)
@@ -262,7 +273,7 @@ class ProvenanceAnalyzer:
             groups = self.grouping(child, keys)
             out = []
             for g in groups:
-                refs = EMPTY_REFS
+                refs = 0
                 for i in g:
                     for c in agg_pool:
                         refs |= child.rows[i][c].refs
@@ -289,7 +300,7 @@ class ProvenanceAnalyzer:
                             continue
                 rows.append(lrow + rrow)
         if outer:
-            pad = tuple(AbstractCell(EMPTY_REFS, None, True, HEAD_REF)
+            pad = tuple(AbstractCell(0, None, True, HEAD_REF)
                         for _ in range(right.n_cols))
             rows.extend(lrow + pad for lrow in left.rows)
         exact = False  # the surviving row set depends on the predicate
@@ -327,7 +338,7 @@ class ProvenanceAnalyzer:
             heads = self.column_heads(child)
             key_cells = tuple(AbstractCell.unknown(col_unions[k], heads[k])
                               for k in keys)
-            new_refs = EMPTY_REFS
+            new_refs = 0
             for c in agg_pool:
                 new_refs |= col_unions[c]
             row = key_cells + (AbstractCell.unknown(new_refs, HEAD_AGGREGATE),)
@@ -367,7 +378,7 @@ class ProvenanceAnalyzer:
         if not child.column_known(keys):
             # Medium: keys known, partition membership unknown.
             col_unions = self.column_unions(child)
-            new_refs = EMPTY_REFS
+            new_refs = 0
             for c in agg_pool:
                 new_refs |= col_unions[c]
             rows = tuple(row + (AbstractCell.unknown(new_refs, new_head),)
@@ -416,7 +427,7 @@ class ProvenanceAnalyzer:
 
 def _aggregate_shadow(child: AbstractTable, group_rows,
                       agg_col: int | None, agg_func: str | None,
-                      refs: frozenset) -> AbstractCell:
+                      refs: int) -> AbstractCell:
     """Compute the aggregate's exact value when everything needed is known."""
     if agg_col is None or agg_func is None or not child.rows_exact:
         return AbstractCell.unknown(refs, HEAD_AGGREGATE)
@@ -429,7 +440,7 @@ def _aggregate_shadow(child: AbstractTable, group_rows,
 
 def _partition_shadow(child: AbstractTable, group_rows, row: int,
                       agg_col: int | None, agg_func: str | None,
-                      refs: frozenset) -> AbstractCell:
+                      refs: int) -> AbstractCell:
     head = _analytic_head(agg_func)
     if agg_col is None or agg_func is None or not child.rows_exact:
         return AbstractCell.unknown(refs, head)
@@ -486,6 +497,11 @@ class ProvenanceAbstraction(Abstraction):
         # same demonstration thousands of times per run) — no module-global
         # evaluation state anywhere in the stack.
         self._demo_cache = DemoAnalysisCache()
+        # Definition-3 verdicts per (abstract table, env, demo): sibling
+        # partial queries often abstract to equal tables.  Each entry pins
+        # its env and demo, so their ids cannot be recycled while it lives,
+        # and both are identity-checked on a hit.
+        self._verdicts: BoundedCache = BoundedCache(DEFAULT_HELPER_CACHE)
 
     def bind_engine(self, engine) -> None:
         super().bind_engine(engine)
@@ -523,10 +539,16 @@ class ProvenanceAbstraction(Abstraction):
         # incremental checker (``engine.consistency``) — the two layers
         # share the bitset embedding core in :mod:`repro.util.matching`.
         table = self.analyzer.abstract_eval(query, env, self.target_refinement)
-        return abstract_consistent(table, demo, env,
-                                   value_shadow=self.value_shadow,
-                                   head_typing=self.head_typing,
-                                   demo_cache=self._demo_cache)
+        key = (table, id(env), id(demo))
+        hit = self._verdicts.get(key)
+        if hit is not None and hit[0] is env and hit[1] is demo:
+            return hit[2]
+        verdict = abstract_consistent(table, demo, env,
+                                      value_shadow=self.value_shadow,
+                                      head_typing=self.head_typing,
+                                      demo_cache=self._demo_cache)
+        self._verdicts[key] = (env, demo, verdict)
+        return verdict
 
     def reset(self) -> None:
         super().reset()
@@ -535,3 +557,4 @@ class ProvenanceAbstraction(Abstraction):
         if self._analyzer is not None:
             self._analyzer.clear()
         self._demo_cache.clear()
+        self._verdicts.clear()

@@ -264,12 +264,13 @@ class Arithmetic(Query):
         return replace(self, child=child)
 
 
-def _install_cached_hash(cls) -> None:
-    """Wrap a node class's generated hash with per-instance caching.
+def install_cached_hash(cls) -> None:
+    """Wrap a frozen dataclass's generated hash with per-instance caching.
 
     Query trees are immutable and shared structurally; every evaluation
     cache keys on them, so each node's hash is requested many times while
-    the dataclass-generated hash re-walks the whole subtree on every call.
+    the dataclass-generated hash re-walks the whole subtree on every call
+    (abstract tables reuse this for the same reason).
     The cached value is process-local (str hashing is seeded) and is
     excluded from pickled state.
     """
@@ -293,5 +294,5 @@ def _install_cached_hash(cls) -> None:
 
 for _node in (TableRef, Filter, Join, LeftJoin, Proj, Sort, Group,
               Partition, Arithmetic):
-    _install_cached_hash(_node)
+    install_cached_hash(_node)
 del _node

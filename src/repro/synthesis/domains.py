@@ -40,7 +40,7 @@ from repro.lang.holes import HolePosition, node_at
 from repro.lang.predicates import ColCmp, ConstCmp
 from repro.provenance.demo import Demonstration
 from repro.provenance.expr import CellRef, FuncApp
-from repro.provenance.refs import refs_of
+from repro.provenance.refs import RefIndex
 from repro.synthesis.config import SynthesisConfig
 from repro.table.table import Table
 from repro.table.values import value_type
@@ -109,27 +109,34 @@ def _numeric_cols(table: Table) -> list[int]:
             if table.schema.types[j] == "number"]
 
 
-def _child_column_refs(child: ast.Query, env: ast.Env, engine):
-    """Per-column input-cell reference sets of a concrete child's output."""
+def _child_column_refs(child: ast.Query, env: ast.Env, engine,
+                       index: RefIndex) -> list[int]:
+    """Per-column input-cell reference bitsets of a concrete child's
+    output."""
     tracked = engine.evaluate_tracking(child, env)
-    return [frozenset().union(*(refs_of(tracked.exprs[i][c])
-                                for i in range(tracked.n_rows)))
-            if tracked.n_rows else frozenset()
-            for c in range(tracked.n_cols)]
+    bits = index.bits
+    out = [0] * tracked.n_cols
+    for row in tracked.exprs:
+        for c, expr in enumerate(row):
+            out[c] |= bits(expr)
+    return out
 
 
 def _suggested_key_cols(child: ast.Query, env: ast.Env,
                         demo: Demonstration, engine) -> frozenset[int]:
     """Child columns that plain-reference demo columns point at."""
-    col_refs = _child_column_refs(child, env, engine)
+    index = RefIndex(env)
+    col_refs = _child_column_refs(child, env, engine, index)
     suggested = set()
     for j in range(demo.n_cols):
         cells = [demo.cell(i, j) for i in range(demo.n_rows)]
         if not all(isinstance(c, CellRef) for c in cells):
             continue
-        needed = frozenset(cells)
+        needed = 0
+        for c in cells:
+            needed |= index.bits(c)
         for c, refs in enumerate(col_refs):
-            if needed <= refs:
+            if not needed & ~refs:
                 suggested.add(c)
     return frozenset(suggested)
 
@@ -148,15 +155,16 @@ def _order_keys(domain: list[tuple[int, ...]], child: ast.Query,
 def _suggested_agg_cols(child: ast.Query, env: ast.Env,
                         demo: Demonstration, engine) -> frozenset[int]:
     """Child columns whose refs cover an aggregate-headed demo cell."""
-    col_refs = _child_column_refs(child, env, engine)
+    index = RefIndex(env)
+    col_refs = _child_column_refs(child, env, engine, index)
     suggested = set()
     for row in demo.cells:
         for cell in row:
             if not isinstance(cell, FuncApp):
                 continue
-            needed = refs_of(cell)
+            needed = index.bits(cell)
             for c, refs in enumerate(col_refs):
-                if needed and needed <= refs:
+                if needed and not needed & ~refs:
                     suggested.add(c)
     return frozenset(suggested)
 

@@ -165,9 +165,11 @@ def embedding_exists(n_demo_rows: int, n_demo_cols: int,
 
     Searches for injective assignments of demo columns to output columns and
     demo rows to output rows such that ``cell_ok(i, j, r, c)`` holds for every
-    demo cell ``(i, j)`` mapped to output cell ``(r, c)``.  This is the shared
-    shape of table-level consistency (Definition 1) and abstract provenance
-    consistency (Definition 3); only ``cell_ok`` differs.
+    demo cell ``(i, j)`` mapped to output cell ``(r, c)``.  This is the
+    shape of both consistency judgments (Definitions 1 and 3) with the cell
+    relation as a callback; the naive Definition-1 check uses it, while the
+    abstract Definition-3 check builds its masks from bitset refs and calls
+    :func:`bitset_embedding_exists` directly.
 
     The relation is materialized once as per-(demo column, output column)
     row bitmasks — each cell judged at most once, no per-call memo dict —

@@ -1,5 +1,7 @@
 """The abstract provenance interpreter (Fig. 11) and its three tiers."""
 
+import pickle
+
 import pytest
 
 from repro.abstraction import (
@@ -21,7 +23,7 @@ from repro.lang import (
 )
 from repro.provenance import Demonstration, cell, func, partial_func
 from repro.provenance.expr import CellRef
-from repro.provenance.refs import refs_of
+from repro.provenance.refs import RefIndex, refs_of
 from repro.semantics import evaluate_tracking
 from repro.table import Table
 
@@ -37,6 +39,11 @@ def _refs(table_name, *pairs):
     return frozenset(CellRef(table_name, i, j) for i, j in pairs)
 
 
+def _cell_refs(abs_t, env, i, j):
+    """The references of abstract cell ``(i, j)``, decoded from its bitset."""
+    return RefIndex(env).decode(abs_t.cell(i, j).refs)
+
+
 class TestBaseAndLift:
     def test_concrete_query_lifts_tracking(self, env):
         q = Group(TableRef("T"), keys=(0,), agg_func="sum", agg_col=2)
@@ -44,12 +51,14 @@ class TestBaseAndLift:
         tracked = evaluate_tracking(q, env)
         for i in range(abs_t.n_rows):
             for j in range(abs_t.n_cols):
-                assert abs_t.cell(i, j).refs == refs_of(tracked.exprs[i][j])
+                expr = tracked.exprs[i][j]
+                assert abs_t.cell(i, j).refs == RefIndex(env).bits(expr)
+                assert _cell_refs(abs_t, env, i, j) == refs_of(expr)
                 assert abs_t.cell(i, j).known
 
     def test_table_ref_cells(self, env):
         abs_t = abstract_eval(TableRef("T"), env)
-        assert abs_t.cell(2, 1).refs == _refs("T", (2, 1))
+        assert _cell_refs(abs_t, env, 2, 1) == _refs("T", (2, 1))
 
 
 class TestWeakTier:
@@ -59,22 +68,24 @@ class TestWeakTier:
         abs_t = abstract_eval(q, env)
         assert abs_t.n_cols == 4
         everything = _refs("T", *[(i, j) for i in range(5) for j in range(3)])
-        assert abs_t.cell(0, 3).refs == everything
+        assert _cell_refs(abs_t, env, 0, 3) == everything
         # existing columns pass through untouched
-        assert abs_t.cell(1, 0).refs == _refs("T", (1, 0))
+        assert _cell_refs(abs_t, env, 1, 0) == _refs("T", (1, 0))
 
     def test_weak_group_collapses_columns(self, env):
         q = Group(TableRef("T"), keys=H("keys"), agg_func=H("agg_func"),
                   agg_col=H("agg_col"))
         abs_t = abstract_eval(q, env)
         # column c may draw from any row of column c
-        assert abs_t.cell(0, 1).refs == _refs("T", *[(i, 1) for i in range(5)])
+        assert _cell_refs(abs_t, env, 0, 1) == \
+            _refs("T", *[(i, 1) for i in range(5)])
         assert abs_t.n_rows == 5  # up to one group per row
 
     def test_weak_arithmetic_uses_own_row(self, env):
         q = Arithmetic(TableRef("T"), func=H("func"), cols=H("cols"))
         abs_t = abstract_eval(q, env)
-        assert abs_t.cell(1, 3).refs == _refs("T", (1, 0), (1, 1), (1, 2))
+        assert _cell_refs(abs_t, env, 1, 3) == \
+            _refs("T", (1, 0), (1, 1), (1, 2))
 
 
 class TestMediumTier:
@@ -92,16 +103,17 @@ class TestMediumTier:
         # the only non-key child column is the group-key column (col 0),
         # whose refs are the original ID column cells
         expected = _refs("T", *[(i, 0) for i in range(5)])
-        assert abs_t.cell(0, 1).refs == expected
+        assert _cell_refs(abs_t, env, 0, 1) == expected
 
     def test_medium_partition_excludes_key_columns(self, env):
         q = Partition(self._abstract_valued_child(), keys=(1,),
                       agg_func=H("agg_func"), agg_col=H("agg_col"))
         abs_t = abstract_eval(q, env)
         child = abstract_eval(self._abstract_valued_child(), env)
-        key_refs = frozenset().union(*(c.refs for c in child.column(1)))
+        key_refs = frozenset().union(*(_cell_refs(child, env, i, 1)
+                                       for i in range(child.n_rows)))
         for i in range(abs_t.n_rows):
-            assert not (abs_t.cell(i, 2).refs & key_refs)
+            assert not (_cell_refs(abs_t, env, i, 2) & key_refs)
 
     def test_rows_not_exact_below_pred_hole(self, env):
         child = Filter(TableRef("T"), pred=H("pred"))
@@ -118,15 +130,17 @@ class TestStrongTier:
         abs_t = abstract_eval(q, env)
         # row 0 is in group A (rows 0-2); non-key columns 1, 2
         expected = _refs("T", *[(i, j) for i in range(3) for j in (1, 2)])
-        assert abs_t.cell(0, 3).refs == expected
+        assert _cell_refs(abs_t, env, 0, 3) == expected
 
     def test_target_refinement_restricts_to_column(self, env):
         q = Partition(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
                       agg_col=2)
         refined = abstract_eval(q, env, target_refinement=True)
-        assert refined.cell(0, 3).refs == _refs("T", (0, 2), (1, 2), (2, 2))
+        assert _cell_refs(refined, env, 0, 3) == \
+            _refs("T", (0, 2), (1, 2), (2, 2))
         unrefined = abstract_eval(q, env, target_refinement=False)
-        assert refined.cell(0, 3).refs < unrefined.cell(0, 3).refs
+        assert _cell_refs(refined, env, 0, 3) < \
+            _cell_refs(unrefined, env, 0, 3)
 
     def test_strong_group_one_row_per_group(self, env):
         q = Group(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
@@ -289,15 +303,20 @@ class TestAnalyzerRetention:
         assert prov.analyzer.engine is new_engine
 
 
+def _group_sum_demo():
+    """Per-ID sums of T's Sales column."""
+    return Demonstration.of([
+        [cell("T", 0, 0), func("sum", cell("T", 0, 2), cell("T", 1, 2),
+                               cell("T", 2, 2))],
+        [cell("T", 3, 0), func("sum", cell("T", 3, 2), cell("T", 4, 2))],
+    ])
+
+
 class TestDemoAnalysisCache:
     """The demo-analysis memo is instance-owned and identity-safe."""
 
     def _demo(self):
-        return Demonstration.of([
-            [cell("T", 0, 0), func("sum", cell("T", 0, 2), cell("T", 1, 2),
-                                   cell("T", 2, 2))],
-            [cell("T", 3, 0), func("sum", cell("T", 3, 2), cell("T", 4, 2))],
-        ])
+        return _group_sum_demo()
 
     def test_no_module_global_cache(self):
         import repro.abstraction.consistency as consistency
@@ -340,5 +359,123 @@ class TestDemoAnalysisCache:
         prov.feasible(Group(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
                             agg_col=H("agg_col")), env, self._demo())
         assert len(prov._demo_cache) > 0
+        assert len(prov._verdicts) > 0
         prov.reset()
         assert len(prov._demo_cache) == 0
+        assert len(prov._verdicts) == 0
+
+
+class TestVerdictMemo:
+    """``ProvenanceAbstraction.feasible`` memoizes Definition-3 verdicts by
+    (abstract table, env, demo), pinning and identity-checking both."""
+
+    def test_equal_tables_share_one_verdict(self, env):
+        prov = ProvenanceAbstraction()
+        demo = _group_sum_demo()
+        # Sort and Proj-with-hole pass their child's abstract table through.
+        base = Group(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
+                     agg_col=H("agg_col"))
+        assert prov.feasible(base, env, demo)
+        assert prov.feasible(Sort(base, cols=H("cols"),
+                                  ascending=H("ascending")), env, demo)
+        assert len(prov._verdicts) == 1
+
+    def test_stale_env_identity_is_recomputed(self, env):
+        prov = ProvenanceAbstraction()
+        demo = _group_sum_demo()
+        q = Group(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
+                  agg_col=H("agg_col"))
+        assert prov.feasible(q, env, demo)
+        (key,) = list(prov._verdicts)
+        other_env = Env.of(Table.from_rows("T", ["a", "b", "c"],
+                                           [["x", 0, 0]] * 5))
+        prov._verdicts[key] = (other_env, demo, False)
+        assert prov.feasible(q, env, demo)
+        assert prov._verdicts[key] == (env, demo, True)
+
+
+class TestRefIndex:
+    """Bit ``offset(T) + row * arity(T) + col`` per input cell."""
+
+    def _env(self, tiny_table):
+        other = Table.from_rows("N", ["ID", "Name"], [["A", "x"], ["B", "y"]])
+        return Env.of(tiny_table, other)
+
+    def test_layout(self, tiny_table):
+        index = RefIndex(self._env(tiny_table))
+        assert index.bits(CellRef("T", 0, 0)) == 1
+        assert index.bits(CellRef("T", 1, 2)) == 1 << 5
+        assert index.bits(CellRef("N", 0, 0)) == 1 << 15
+        assert index.bits(CellRef("N", 1, 1)) == 1 << 18
+
+    def test_bits_decode_round_trip(self, tiny_table):
+        env = self._env(tiny_table)
+        index = RefIndex(env)
+        expr = func("percent", func("sum", cell("T", 0, 2), cell("T", 1, 2)),
+                    cell("N", 1, 0))
+        assert index.decode(index.bits(expr)) == refs_of(expr)
+        every = [CellRef(t.name, i, j) for t in env.tables
+                 for i in range(t.n_rows) for j in range(t.n_cols)]
+        bits = 0
+        for ref in every:
+            bits |= index.bits(ref)
+        assert bits == (1 << len(every)) - 1
+        assert index.decode(bits) == frozenset(every)
+
+    def test_foreign_refs_fit_no_cell(self, tiny_table):
+        index = RefIndex(self._env(tiny_table))
+        everything = (1 << 19) - 1
+        for ref in (CellRef("T", 5, 0), CellRef("T", 0, 3),
+                    CellRef("Z", 0, 0), CellRef("N", -1, 0)):
+            need = index.bits(ref)
+            assert need and need & ~everything
+            with pytest.raises(ValueError):
+                index.decode(need)
+
+    def test_never_pickled(self, env):
+        with pytest.raises(TypeError):
+            pickle.dumps(RefIndex(env))
+
+
+class TestPickling:
+    """Cached hashes and ref indexes stay in their process."""
+
+    def test_env_and_table_pickle_without_hash_or_index(self, env):
+        prov = ProvenanceAbstraction()
+        q = Group(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
+                  agg_col=H("agg_col"))
+        assert prov.feasible(q, env, _group_sum_demo())
+        table = abstract_eval(q, env)
+        hash(env), hash(table)
+        assert "_hash" in vars(env) and "_hash" in vars(table)
+        for obj in (env, table):
+            blob = pickle.dumps(obj)
+            assert b"RefIndex" not in blob
+            clone = pickle.loads(blob)
+            assert "_hash" not in vars(clone)
+            assert clone == obj and hash(clone) == hash(obj)
+
+
+class TestRowDedup:
+    """Definition 3 deduplicates abstract rows by their full signature."""
+
+    def test_rows_differing_only_in_head_are_kept(self, env):
+        # Both rows may draw from the same cells and neither value is
+        # known; only the second one's head can produce a sum.
+        from repro.abstraction.cells import (
+            HEAD_AGGREGATE,
+            HEAD_ARITHMETIC,
+            AbstractCell,
+            AbstractTable,
+        )
+        index = RefIndex(env)
+        refs = index.bits(CellRef("T", 0, 2)) | index.bits(CellRef("T", 1, 2))
+        table = AbstractTable(
+            ((AbstractCell.unknown(refs, HEAD_ARITHMETIC),),
+             (AbstractCell.unknown(refs, HEAD_AGGREGATE),)),
+            rows_exact=False)
+        demo = Demonstration.of([[func("sum", cell("T", 0, 2),
+                                       cell("T", 1, 2))]])
+        assert abstract_consistent(table, demo, env)
+        assert not abstract_consistent(
+            AbstractTable(table.rows[:1], rows_exact=False), demo, env)

@@ -28,6 +28,7 @@ from repro.errors import (
 from repro.lang import Env, TableRef
 from repro.lang.size import operator_count, query_depth
 from repro.provenance.expr import CellRef
+from repro.provenance.refs import RefIndex
 from repro.util.rng import stable_rng, stable_seed
 from repro.util.timer import Deadline, Stopwatch
 
@@ -131,18 +132,25 @@ class TestAbstractCells:
         assert head_matches(HEAD_REF, HEAD_REF)
         assert not head_matches(HEAD_REF, HEAD_AGGREGATE)
 
-    def test_table_accessors(self):
+    def test_table_accessors(self, tiny_table):
+        index = RefIndex(Env.of(tiny_table))
         ref = CellRef("T", 0, 0)
-        cell = AbstractCell.of_ref(ref, 5)
+        cell = AbstractCell(index.bits(ref), 5, True, HEAD_REF)
         table = AbstractTable(((cell, cell), (cell, cell)))
         assert table.n_rows == 2 and table.n_cols == 2
         assert table.column(1) == [cell, cell]
         assert table.column_known((0, 1))
-        assert table.all_refs() == frozenset((ref,))
-        assert table.row_refs(0) == frozenset((ref,))
+        all_refs = row_refs = 0
+        for row in table.rows:
+            for c in row:
+                all_refs |= c.refs
+        for c in table.rows[0]:
+            row_refs |= c.refs
+        assert index.decode(all_refs) == frozenset((ref,))
+        assert index.decode(row_refs) == frozenset((ref,))
 
     def test_unknown_cell(self):
-        c = AbstractCell.unknown(frozenset(), HEAD_AGGREGATE)
+        c = AbstractCell.unknown(0, HEAD_AGGREGATE)
         assert not c.known
         assert c.head == HEAD_AGGREGATE
 

@@ -23,7 +23,7 @@ from repro.abstraction import ProvenanceAbstraction, abstract_eval
 from repro.lang import Env, Group, Partition, TableRef
 from repro.lang.holes import fill, first_hole, holes_of, is_concrete
 from repro.provenance import demo_consistent
-from repro.provenance.refs import refs_of
+from repro.provenance.refs import RefIndex, refs_of
 from repro.provenance.simplify import simplify
 from repro.semantics import evaluate, evaluate_tracking
 from repro.spec import DemoGenConfig, generate_demonstration
@@ -150,7 +150,11 @@ def test_abstract_refs_cover_tracked_refs(pair):
     tracked = evaluate_tracking(query, env)
     abs_table = abstract_eval(_skeletonize(query), env)
     assume(tracked.n_rows >= 1)
-    all_abs_refs = abs_table.all_refs()
+    all_bits = 0
+    for row in abs_table.rows:
+        for cell in row:
+            all_bits |= cell.refs
+    all_abs_refs = RefIndex(env).decode(all_bits)
     for row in tracked.exprs:
         for expr in row:
             assert refs_of(expr) <= all_abs_refs

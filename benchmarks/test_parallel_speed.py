@@ -14,8 +14,8 @@ non-gating; the nightly perf workflow records the numbers as a trajectory
 artifact (``benchmarks/perf_snapshot.py``).
 
 A further, core-count independent measurement rides along: **skewed
-lanes** — per-shard visited counts under ``cost_rr`` planning on an
-exhaustive (no-stop) hard-task sweep.  The static cost estimate deals
+lanes** — per-shard visited counts under ``cost_rr`` planning of a seeded
+session's lanes on an exhaustive (no-stop) hard-task sweep.  The static cost estimate deals
 near-equal shards, the abstraction then prunes lanes the estimate cannot
 see, and the measured ``ShardPlan.load_imbalance`` of actual work
 quantifies what dynamic re-planning (ROADMAP) would reclaim.
@@ -30,9 +30,8 @@ import time
 import pytest
 
 from repro.benchmarks import all_tasks
-from repro.parallel import ShardPlan, ShardPlanner, run_shards
-from repro.synthesis import GroundTruthStop, Synthesizer
-from repro.synthesis.skeletons import construct_skeletons
+from repro.parallel import ShardPlan, plan_lanes, run_payloads
+from repro.synthesis import GroundTruthStop, SynthesisSession, Synthesizer
 
 #: Forum-hard tasks that solve within the budget at serial visited counts
 #: between ~1k and ~4k — enough search for sharding to matter, small enough
@@ -131,16 +130,22 @@ SKEW_BUDGET = 1200
 def per_shard_visited(task, workers: int = WORKERS):
     """(plan, per-shard visited) of an exhaustive no-stop sharded sweep.
 
-    The serial executor removes scheduling noise: every shard runs to its
-    own budget/exhaustion, so visited counts are the lanes' actual work.
+    The lanes are those a sharded run deals: a seeded session's, planned
+    and dispatched as ``workers > 1`` does.  The serial executor removes
+    scheduling noise: every shard runs to its own budget/exhaustion, so
+    visited counts are the lanes' actual work.
     """
     config = task.config.replace(
         workers=workers, parallel_executor="serial",
         timeout_s=None, max_visited=SKEW_BUDGET)
-    skeletons = construct_skeletons(task.env, config)
-    plan = ShardPlanner(workers).plan(skeletons)
-    outcomes = run_shards(plan, skeletons, task.env, task.demonstration,
-                          config, "provenance", stop_spec=None)
+    session = SynthesisSession(task.env, task.demonstration, config)
+    session.start()
+    plan, payloads = plan_lanes(session._worklist.export_lanes(), workers)
+    # Shards get the budget seeding left over, as in a sharded run.
+    remaining = config.replace(
+        max_visited=SKEW_BUDGET - session.stats.visited)
+    outcomes = run_payloads(payloads, task.env, task.demonstration,
+                            remaining, "provenance", stop_spec=None)
     return plan, [o.stats.visited for o in outcomes]
 
 

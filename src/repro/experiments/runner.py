@@ -34,7 +34,7 @@ TECHNIQUES = ("provenance", "value", "type")
 #: constants, key/sort limits, …) is part of the benchmark definition and
 #: never overridden by a sweep.
 EXEC_OVERRIDES = ("timeout_s", "max_visited", "backend", "workers",
-                  "parallel_executor", "strategy")
+                  "parallel_executor")
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class RunConfig:
     max_visited: int | None = None
     backend: str | None = None      # None = each task's configured backend
     workers: int = 1                # shards searched concurrently per run
-    parallel_executor: str | None = None   # None = each task's configured one
 
     def timeout_for(self, task: BenchmarkTask) -> float:
         return (self.easy_timeout_s if task.difficulty == "easy"
@@ -79,8 +78,6 @@ def task_config(task: BenchmarkTask,
                      workers=run_config.workers)
     if run_config.backend is not None:
         overrides["backend"] = run_config.backend
-    if run_config.parallel_executor is not None:
-        overrides["parallel_executor"] = run_config.parallel_executor
     return task.config.replace(**overrides)
 
 

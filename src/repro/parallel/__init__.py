@@ -1,21 +1,27 @@
 """Sharded parallel synthesis (``SynthesisConfig.workers > 1``).
 
-The skeleton worklist is partitioned by a :class:`ShardPlanner`, each shard
-is searched by a worker owning its own evaluation engine
+Every sharded run starts from a :class:`~repro.synthesis.session.
+SynthesisSession` that seeded its lanes in the calling process (skeleton
+construction and the shape precheck) and, when it was already stepped,
+reached a worklist round boundary.  The session's live lanes are dealt to
+shards by a :class:`ShardPlanner` (:func:`plan_lanes`), each shard is
+searched by a worker owning its own evaluation engine
 (:mod:`repro.parallel.worker`), and the per-lane event traces are replayed
-into the exact serial search order (:mod:`repro.parallel.merge`) — ranked
-output and search counters are byte-identical to the serial run regardless
-of worker count, shard plan or completion order.
+onto the session's state in the exact serial search order
+(:mod:`repro.parallel.merge`) — ranked output and search counters are
+byte-identical to the serial run regardless of worker count, shard plan
+or completion order.
 
 Layering: this package sits beside ``repro.experiments``, *above*
 ``repro.synthesis`` — it orchestrates the serial building blocks
-(skeleton construction, hole domains, consistency checks) and never
-reaches around them.
+(hole domains, consistency checks) and never reaches around them.
 
 ::
 
-                     ┌────────────── ShardPlanner ──────────────┐
-      skeletons ──►  │ shard 0        shard 1      …    shard N │
+      session.start(): skeletons ─► shape precheck ─► live lanes
+                                                          │
+                     ┌────────────── ShardPlanner ────────▼─────┐
+                     │ shard 0        shard 1      …    shard N │
                      └────┬──────────────┬──────────────────┬───┘
                           ▼              ▼                  ▼
                      worker 0        worker 1     …     worker N
@@ -23,21 +29,20 @@ reaches around them.
                           │              │                  │
                           └── per-lane event traces + stats ┘
                                          ▼
-                            replay merge (serial order)
+                      replay merge onto the session (serial order)
                                          ▼
                       ranked queries + SearchStats.merge telemetry
 """
 
-from repro.parallel.coordinator import parallel_enumerate, parallel_resume
-from repro.parallel.executor import CancelToken, NO_LIMIT, run_payloads, \
-    run_shards
+from repro.parallel.coordinator import parallel_resume, plan_lanes
+from repro.parallel.executor import CancelToken, NO_LIMIT, run_payloads
 from repro.parallel.merge import replay_merge
 from repro.parallel.planner import ShardPlan, ShardPlanner, estimated_lane_cost
 from repro.parallel.worker import LaneTrace, ShardOutcome, run_shard
 
 __all__ = [
-    "parallel_enumerate", "parallel_resume",
+    "parallel_resume", "plan_lanes",
     "ShardPlanner", "ShardPlan", "estimated_lane_cost",
-    "run_shards", "run_payloads", "run_shard", "CancelToken", "NO_LIMIT",
+    "run_payloads", "run_shard", "CancelToken", "NO_LIMIT",
     "LaneTrace", "ShardOutcome", "replay_merge",
 ]

@@ -27,7 +27,6 @@ import threading
 import time
 import traceback
 
-from repro.parallel.planner import ShardPlan
 from repro.parallel.worker import ShardOutcome, run_shard
 from repro.util.timer import Deadline
 
@@ -71,48 +70,29 @@ class ProcessCancelToken:
 
 
 def _guarded_run_shard(shard_id, lanes, env, demo, config, abstraction_spec,
-                       stop_spec, cancel, deadline,
-                       seeded=False) -> ShardOutcome:
+                       stop_spec, cancel, deadline) -> ShardOutcome:
     """run_shard that reports failures instead of raising (or vanishing)."""
     try:
         return run_shard(shard_id, lanes, env, demo, config,
-                         abstraction_spec, stop_spec, cancel, deadline,
-                         seeded=seeded)
+                         abstraction_spec, stop_spec, cancel, deadline)
     except Exception:
         return ShardOutcome(shard_id, error=traceback.format_exc())
 
 
 def _process_main(shard_id, lanes, env, demo, config, abstraction_spec,
-                  stop_spec, cancel, deadline, seeded, queue) -> None:
+                  stop_spec, cancel, deadline, queue) -> None:
     queue.put(_guarded_run_shard(shard_id, lanes, env, demo, config,
                                  abstraction_spec, stop_spec, cancel,
-                                 deadline, seeded))
-
-
-def run_shards(plan: ShardPlan, skeletons, env, demo, config,
-               abstraction_spec: str, stop_spec, executor: str | None = None,
-               cancel_export=None) -> list[ShardOutcome]:
-    """Execute every shard in ``plan``; outcomes ordered by shard id.
-
-    ``skeletons`` is the canonical ``construct_skeletons`` list the plan
-    indexes into; each shard receives its own ``(lane_id, skeleton)``
-    payload so workers never recompute the enumeration.
-    """
-    payloads = [tuple((lane, skeletons[lane]) for lane in shard)
-                for shard in plan.shards]
-    return run_payloads(payloads, env, demo, config, abstraction_spec,
-                        stop_spec, executor=executor,
-                        cancel_export=cancel_export)
+                                 deadline))
 
 
 def run_payloads(payloads, env, demo, config, abstraction_spec: str,
-                 stop_spec, executor: str | None = None, seeded: bool = False,
+                 stop_spec, executor: str | None = None,
                  cancel_export=None) -> list[ShardOutcome]:
-    """Execute pre-built shard payloads; outcomes ordered by shard id.
+    """Execute shard payloads; outcomes ordered by shard id.
 
-    ``payloads[i]`` is shard ``i``'s lane tuple — ``(lane_id, skeleton)``
-    pairs normally, ``(lane_id, stack)`` pairs under ``seeded=True`` (a
-    resumed session's exported worklist; see
+    ``payloads[i]`` is shard ``i``'s tuple of ``(lane_id, stack)`` pairs —
+    live lanes exported from a seeded session (see
     :func:`repro.parallel.worker.run_shard`).  ``cancel_export``, when
     given, receives the run's shared cancel token as soon as it exists —
     the hook a live :class:`~repro.synthesis.session.SynthesisSession`
@@ -127,14 +107,14 @@ def run_payloads(payloads, env, demo, config, abstraction_spec: str,
     if executor == "process":
         outcomes = _run_processes(payloads, env, demo, config,
                                   abstraction_spec, stop_spec, deadline,
-                                  seeded, cancel_export)
+                                  cancel_export)
     elif executor == "serial":
         cancel = CancelToken()
         if cancel_export is not None:
             cancel_export(cancel)
         outcomes = [_guarded_run_shard(i, lanes, env, demo, config,
                                        abstraction_spec, stop_spec, cancel,
-                                       deadline, seeded)
+                                       deadline)
                     for i, lanes in enumerate(payloads)]
     else:
         raise ValueError(f"unknown parallel_executor {executor!r}")
@@ -174,8 +154,7 @@ def pick_context(methods=None, start_method: str | None = None):
 
 
 def _run_processes(payloads, env, demo, config, abstraction_spec,
-                   stop_spec, deadline, seeded,
-                   cancel_export) -> list[ShardOutcome]:
+                   stop_spec, deadline, cancel_export) -> list[ShardOutcome]:
     ctx = pick_context(multiprocessing.get_all_start_methods())
     cancel = ProcessCancelToken(ctx)
     if cancel_export is not None:
@@ -186,7 +165,7 @@ def _run_processes(payloads, env, demo, config, abstraction_spec,
         proc = ctx.Process(
             target=_process_main,
             args=(i, payloads[i], env, demo, config, abstraction_spec,
-                  stop_spec, cancel, deadline, seeded, queue),
+                  stop_spec, cancel, deadline, queue),
             daemon=True)
         proc.start()
         return proc

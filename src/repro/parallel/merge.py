@@ -1,9 +1,9 @@
 """Deterministic merge: replay shard traces into the serial search.
 
-Why this works.  The serial ``sized_dfs`` worklist pops round-robin over
-lanes in canonical (size) order, and a lane's own pop sequence is fully
-determined by the lane alone — expansions push back onto the same lane, so
-interleaving with other lanes never changes what the lane yields.  Every
+Why this works.  The serial worklist pops round-robin over lanes in seed
+(size) order, and a lane's own pop sequence is fully determined by the
+lane alone — expansions push back onto the same lane, so interleaving
+with other lanes never changes what the lane yields.  Every
 lane is therefore popped exactly once per *round* until it drains, and the
 serial visit order is precisely::
 
@@ -21,10 +21,11 @@ traces or in which order they finished.
 
 Workers overshoot the serial stopping point (each shard keeps searching
 until its own stopping rule fires); the replay simply never consumes the
-excess.  The one non-deterministic escape is a wall-clock expiry inside a
-worker: its truncated lanes may not cover the serial prefix, in which case
-the replay reports a timeout — exactly what the serial run does when the
-clock, rather than the search, decides the outcome.
+excess.  Two escapes leave a lane's trace short of the serial prefix: a
+wall-clock expiry inside a worker, which the replay reports as a timeout —
+exactly what the serial run does when the clock, rather than the search,
+decides the outcome — and a cancel, where the replay stops without one,
+as a cancelled serial run does.
 """
 
 from __future__ import annotations
@@ -43,34 +44,25 @@ from repro.parallel.worker import (
 
 
 def replay_merge(outcomes: Sequence[ShardOutcome], config: SynthesisConfig,
-                 has_stop: bool,
-                 base: SynthesisResult | None = None) -> SynthesisResult:
+                 has_stop: bool, base: SynthesisResult) -> SynthesisResult:
     """Fold shard outcomes into the serial-equivalent SynthesisResult.
 
-    ``base`` resumes the replay from a partially consumed serial search
-    (a stepped :class:`~repro.synthesis.session.SynthesisSession` that was
-    re-dispatched at a round boundary): its queries and counters are the
-    prefix the replayed continuation extends, so the budget and ``top_n``
-    cutoffs below fire against the *cumulative* state — exactly where the
-    uninterrupted serial loop would have stopped.  ``config`` is always the
-    original run's config (a resumed dispatch hands its workers a
-    remaining-budget variant, but the cutoffs here are run-wide).
+    ``base`` is the seeded :class:`~repro.synthesis.session.
+    SynthesisSession` the shards continue, dispatched at a round boundary:
+    its queries and counters (seeding, plus any serially stepped prefix)
+    are the prefix the replayed continuation extends, so the budget and
+    ``top_n`` cutoffs below fire against the *cumulative* state — exactly
+    where the uninterrupted serial loop would have stopped.  ``base`` is
+    extended in place and returned.  ``config`` is the original run's
+    config (the dispatch hands its workers a remaining-budget variant, but
+    the cutoffs here are run-wide).
     """
-    if base is not None:
-        result = base
-        stats = result.stats
-    else:
-        result = SynthesisResult()
-        stats = result.stats
-        stats.skeletons = sum(o.stats.skeletons for o in outcomes)
-        stats.max_skeleton_size = max(
-            (o.stats.max_skeleton_size for o in outcomes), default=0)
-        # Shape-prechecked skeletons are counted before the serial loop
-        # starts, so all shards' precheck rejections land up front here too.
-        shape_pruned = sum(o.shape_pruned for o in outcomes)
-        stats.visited += shape_pruned
-        stats.pruned += shape_pruned
-
+    result = base
+    stats = result.stats
+    # Lanes of shards whose own budget expired: only their truncated
+    # traces mean a timeout (any other truncation is a cancel).
+    expired = {t.lane for o in outcomes if o.stats.timed_out
+               for t in o.traces}
     lanes: list[LaneTrace] = sorted(
         (t for o in outcomes for t in o.traces), key=lambda t: t.lane)
     cursor = [0] * len(lanes)
@@ -84,10 +76,12 @@ def replay_merge(outcomes: Sequence[ShardOutcome], config: SynthesisConfig,
             if cursor[idx] >= len(trace.events):
                 if trace.exhausted:
                     continue        # lane drained — drop, like the worklist
-                # Truncated trace: a worker's wall clock expired before it
-                # covered the serial prefix.  Serial would still be running;
-                # all we can faithfully report is a timeout here.
-                stats.timed_out = True
+                # Truncated trace: the worker's wall clock expired, or the
+                # run was cancelled, before it covered the serial prefix.
+                # Serial would still be running; all we can faithfully
+                # report is that budget expiry (or the cancel) here.
+                if trace.lane in expired:
+                    stats.timed_out = True
                 stop = True
                 break
             if config.max_visited is not None \

@@ -9,12 +9,12 @@ verdict cache and column match-state memo, and the checker's counters ride
 in the worker's :class:`~repro.engine.base.EngineStats`, which the
 coordinator folds with ``EngineStats.merge`` like any other cache traffic.
 
-The loop is the ``sized_dfs`` strategy of ``enumerate_queries`` made
-*round-explicit*: lanes are swept in ascending canonical order, each live
-lane popped exactly once per round, depth-first within a lane.  That is
-byte-for-byte the order the serial worklist visits these lanes in (the
-serial round-robin restricted to any lane subset is the subset's own
-round-robin), which is what lets the coordinator replay the recorded
+The loop is the serial worklist made *round-explicit*: lanes are swept in
+ascending lane order, each live lane popped exactly once per round,
+depth-first within a lane.  That is byte-for-byte the order the serial
+worklist visits these lanes in (the serial round-robin restricted to any
+lane subset is the subset's own round-robin), which is what lets the
+coordinator replay the recorded
 per-lane event traces into the exact serial search (see
 :mod:`repro.parallel.merge`).
 
@@ -46,7 +46,6 @@ from repro.synthesis.enumerator import (
     POP_EXPANDED,
     POP_PRUNED,
     SearchStats,
-    admit_skeleton,
     process_pop,
 )
 from repro.synthesis.stop import StopSpec
@@ -64,7 +63,7 @@ EV_INCONSISTENT = 2     # concrete, failed the ≺ check
 class LaneTrace:
     """Everything the merge needs to replay one lane's visits in order."""
 
-    lane: int                       # canonical skeleton index
+    lane: int                       # the session's lane id
     events: list = field(default_factory=list)
     exhausted: bool = False         # lane fully drained (vs worker stopped)
 
@@ -75,7 +74,6 @@ class ShardOutcome:
 
     shard_id: int
     traces: list[LaneTrace] = field(default_factory=list)
-    shape_pruned: int = 0           # skeletons rejected by the shape precheck
     stats: SearchStats = field(default_factory=SearchStats)
     engine_stats: EngineStats = field(default_factory=EngineStats)
     error: str | None = None        # traceback text when the worker failed
@@ -84,17 +82,14 @@ class ShardOutcome:
 def run_shard(shard_id: int, lanes, env, demo: Demonstration,
               config: SynthesisConfig, abstraction_spec: str,
               stop_spec: StopSpec | None, cancel,
-              deadline: Deadline | None = None,
-              seeded: bool = False) -> ShardOutcome:
-    """Search ``lanes`` — ``(lane_id, skeleton)`` pairs in ascending
-    canonical order — to the shard-local stopping point.
+              deadline: Deadline | None = None) -> ShardOutcome:
+    """Search ``lanes`` — ``(lane_id, stack)`` pairs in ascending lane
+    order — to the shard-local stopping point.
 
-    With ``seeded=True`` the lanes arrive as ``(lane_id, stack)`` pairs —
-    live worklist stacks exported from a partially stepped
+    The stacks are live worklist lanes exported from a
     :class:`~repro.synthesis.session.SynthesisSession` at a round
-    boundary.  Seeded lanes skip skeleton admission (they were admitted,
-    and counted, when the session first seeded them) and resume exactly
-    where the serial loop paused.
+    boundary.  The session already admitted (and counted) their
+    skeletons, so each lane resumes exactly where the serial loop paused.
 
     ``cancel`` is the executor's shared cancel token (``limit()`` /
     ``propose(round)``); pass an unlimited token for independent runs.
@@ -113,25 +108,11 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
     outcome = ShardOutcome(shard_id)
     stats = outcome.stats
 
-    # Seed this shard's lanes (ascending canonical order).
     active: list[tuple[LaneTrace, list[ast.Query]]] = []
-    if seeded:
-        # Resumed stacks: admission (and the skeleton count) happened when
-        # the session originally seeded these lanes; the merge's cumulative
-        # base already carries it.
-        for lane_id, stack in lanes:
-            trace = LaneTrace(lane_id)
-            outcome.traces.append(trace)
-            active.append((trace, list(stack)))
-    else:
-        stats.skeletons = len(lanes)
-        for lane_id, skeleton in lanes:
-            if admit_skeleton(skeleton, demo, config, stats) is None:
-                outcome.shape_pruned += 1
-                continue
-            trace = LaneTrace(lane_id)
-            outcome.traces.append(trace)
-            active.append((trace, [skeleton]))
+    for lane_id, stack in lanes:
+        trace = LaneTrace(lane_id)
+        outcome.traces.append(trace)
+        active.append((trace, list(stack)))
 
     round_no = 0
     stopping = False

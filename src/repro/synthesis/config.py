@@ -4,7 +4,9 @@ Mirrors the knobs the paper describes: search depth, the N-consistent-query
 cutoff (Sickle uses N = 10), user-provided filter constants (§5.1), and the
 operator pool the skeleton enumerator composes.  Benchmarks carry their own
 pool — all abstraction techniques share it, so the search space and order
-are identical across techniques (§5.1, "Baselines").
+are identical across techniques (§5.1, "Baselines").  The worklist order
+itself is not a knob: skeleton lanes round-robin in size order,
+depth-first within a lane (:class:`repro.synthesis.enumerator._Worklist`).
 """
 
 from __future__ import annotations
@@ -43,26 +45,17 @@ class SynthesisConfig:
     backend: str = "columnar"
 
     # --- parallel search ---------------------------------------------------
-    # Number of skeleton shards searched concurrently (repro.parallel).
-    # 1 (default) runs the classic in-process loop; N > 1 partitions the
-    # skeleton worklist into up to N shards, each searched by a worker that
-    # owns its own EvalEngine, and merges the results deterministically —
-    # ranked output and search counters are byte-identical to workers=1.
+    # Number of shards searched concurrently (repro.parallel).  1 (default)
+    # runs the classic in-process loop.  N > 1 seeds the skeleton lanes
+    # (construction plus shape precheck) in the calling process, deals the
+    # admitted lanes to up to N shards, each searched by a worker that owns
+    # its own EvalEngine, and merges the results deterministically — ranked
+    # output and search counters are byte-identical to workers=1.
     workers: int = 1
     # Worker execution vehicle: "process" (default; one OS process per
     # shard, true parallelism) or "serial" (run shards one after another
     # in-process — the reference semantics the process executor must match).
     parallel_executor: str = "process"
-
-    # Worklist strategy.  "sized_dfs" (default) explores skeleton sizes
-    # smallest-first and completes hole instantiation depth-first within a
-    # size class — small consistent queries are still found first (the
-    # paper's size ranking), but concrete candidates are reached without
-    # materializing the full breadth-first frontier, which is impractical at
-    # pure-Python speeds.  "bfs" is the paper-literal breadth-first order.
-    # The strategy is shared by all abstraction techniques, so their search
-    # order is identical (§5.1).
-    strategy: str = "sized_dfs"     # "sized_dfs" | "bfs" | "dfs"
 
     # --- search space ------------------------------------------------------
     operator_pool: tuple[str, ...] = DEFAULT_OPERATOR_POOL
@@ -99,8 +92,6 @@ class SynthesisConfig:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-        if self.strategy not in ("sized_dfs", "bfs", "dfs"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         from repro.engine.base import BACKENDS
 
         if self.backend not in BACKENDS:
@@ -113,11 +104,6 @@ class SynthesisConfig:
         if self.parallel_executor not in ("process", "serial"):
             raise ValueError(
                 f"unknown parallel_executor {self.parallel_executor!r}")
-        if self.workers > 1 and self.strategy != "sized_dfs":
-            # Sharded search relies on the lane-per-cycle structure of the
-            # sized_dfs worklist; the FIFO strategies share one global queue
-            # and cannot be partitioned without changing the search order.
-            raise ValueError("workers > 1 requires strategy='sized_dfs'")
 
     def replace(self, **kwargs) -> "SynthesisConfig":
         from dataclasses import replace as dc_replace

@@ -1,9 +1,11 @@
 """The enumerative search loop (paper Algorithm 1).
 
-Breadth-first over a worklist seeded with skeletons: concrete queries are
-checked against the demonstration under the provenance-tracking semantics
-(``E ≺ [[q(T̄)]]★``); partial queries are screened by the pluggable
-abstraction and pruned when no instantiation can realize the demonstration.
+A worklist seeded with one lane per skeleton, popped round-robin across
+lanes and depth-first within each (see :class:`_Worklist`): concrete
+queries are checked against the demonstration under the
+provenance-tracking semantics (``E ≺ [[q(T̄)]]★``); partial queries are
+screened by the pluggable abstraction and pruned when no instantiation can
+realize the demonstration.
 
 The loop exposes the counters the paper's evaluation reports: queries
 visited (partial + concrete), queries pruned, concrete consistency checks,
@@ -14,7 +16,6 @@ found").
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, fields
 from collections.abc import Callable
 
@@ -30,31 +31,25 @@ from repro.synthesis.shape import shape_feasible
 
 
 class _Worklist:
-    """The search frontier under one of three exploration strategies.
+    """The search frontier: one *lane* (a stack) per skeleton.
 
-    Filling a hole never changes a query's operator count, so every item
-    keeps the size computed for its skeleton.
-
-    ``sized_dfs`` (default) gives each skeleton its own *lane* (a stack) and
-    pops round-robin across all live lanes, with lanes kept in skeleton-size
-    order inside each cycle.  Every skeleton makes progress concurrently —
-    a sibling skeleton's huge subspace can never starve the one containing
-    the solution — small skeletons (which exhaust or die quickly) still
-    dominate early, and within a lane the search is depth-first, reaching
-    concrete candidates without materializing the breadth-first frontier,
-    which is impractical at pure-Python speeds.
+    Pops go round-robin across all live lanes, with lanes kept in
+    skeleton-size order inside each cycle.  Every skeleton makes progress
+    concurrently — a sibling skeleton's huge subspace can never starve the
+    one containing the solution — small skeletons (which exhaust or die
+    quickly) still dominate early, and within a lane the search is
+    depth-first, reaching concrete candidates without materializing the
+    breadth-first frontier, which is impractical at pure-Python speeds.
     """
 
-    def __init__(self, strategy: str) -> None:
-        self.strategy = strategy
-        self._fifo: deque[tuple[int, int, ast.Query]] = deque()
+    def __init__(self) -> None:
         self._stacks: dict[int, list[ast.Query]] = {}  # lane id -> stack
         self._order: list[int] = []                    # live lanes, size order
         self._rr = 0
         self._count = 0
         self._next_lane = 0
 
-    def add_lane(self, query: ast.Query, size: int) -> int:
+    def add_lane(self, query: ast.Query) -> int:
         """Seed a new lane (one per skeleton); returns the lane id.
 
         Lanes must be added in skeleton-size order (construct_skeletons
@@ -63,30 +58,18 @@ class _Worklist:
         """
         lane_id = self._next_lane
         self._next_lane += 1
-        if self.strategy in ("bfs", "dfs"):
-            self._fifo.append((size, lane_id, query))
-        else:
-            self._stacks[lane_id] = [query]
-            self._order.append(lane_id)
-            self._count += 1
+        self._stacks[lane_id] = [query]
+        self._order.append(lane_id)
+        self._count += 1
         return lane_id
 
-    def push(self, query: ast.Query, size: int, lane_id: int) -> None:
+    def push(self, query: ast.Query, lane_id: int) -> None:
         """Push an expansion onto its parent's lane."""
-        if self.strategy == "bfs":
-            self._fifo.append((size, lane_id, query))
-        elif self.strategy == "dfs":
-            self._fifo.appendleft((size, lane_id, query))
-        else:
-            self._stacks[lane_id].append(query)
-            self._count += 1
+        self._stacks[lane_id].append(query)
+        self._count += 1
 
-    def pop(self) -> tuple[int, int, ast.Query]:
-        if self.strategy in ("bfs", "dfs"):
-            try:
-                return self._fifo.popleft()
-            except IndexError:
-                raise IndexError("pop from an empty worklist") from None
+    def pop(self) -> tuple[int, ast.Query]:
+        """The next ``(lane_id, query)`` in round-robin order."""
         if not self._order:
             raise IndexError("pop from an empty worklist")
         idx = self._rr % len(self._order)
@@ -106,11 +89,9 @@ class _Worklist:
         query = self._stacks[lane_id].pop()
         self._count -= 1
         self._rr = (idx + 1) % len(self._order)
-        return 0, lane_id, query
+        return lane_id, query
 
     def __bool__(self) -> bool:
-        if self.strategy in ("bfs", "dfs"):
-            return bool(self._fifo)
         return self._count > 0
 
     # ---------------------------------------------- checkpoint/resume hooks
@@ -121,15 +102,13 @@ class _Worklist:
     # replay-merge machinery is round-based; see repro.parallel.merge).
 
     def purge_drained(self) -> None:
-        """Eagerly drop drained ``sized_dfs`` lanes.
+        """Eagerly drop drained lanes.
 
         The serial ``pop`` drops a drained lane lazily, on next encounter;
         dropping it early is invisible to the pop sequence (a dead lane
         yields nothing either way), but the cursor must be re-based onto
         the surviving lanes so the next pop lands where it would have.
         """
-        if self.strategy != "sized_dfs":
-            return
         kept: list[int] = []
         removed_before = 0
         for pos, lane in enumerate(self._order):
@@ -151,8 +130,6 @@ class _Worklist:
         merge are built on, and therefore the only state a partially
         consumed worklist may be dispatched to shard workers from.
         """
-        if self.strategy != "sized_dfs":
-            return True
         self.purge_drained()
         return self._rr == 0
 
@@ -263,7 +240,8 @@ def admit_skeleton(skeleton: ast.Query, demo: Demonstration,
     Returns the skeleton's operator count when admitted (updating the
     max-depth stat), or ``None`` when the precheck rejects it (counted as a
     visited-and-pruned query, exactly as the serial loop always has).
-    Shared with the shard workers so seeding semantics cannot drift.
+    Sharded runs seed through the same session, so every path admits
+    skeletons here.
     """
     if config.shape_precheck and not shape_feasible(skeleton, demo):
         stats.visited += 1

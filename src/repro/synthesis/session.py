@@ -1,8 +1,8 @@
 """Resumable synthesis sessions: first-class, picklable search state.
 
 A :class:`SynthesisSession` turns Algorithm 1 from a closure over the
-runner into an object owning the whole search state — the ``sized_dfs``
-worklist lanes, :class:`~repro.synthesis.enumerator.SearchStats`, the
+runner into an object owning the whole search state — the worklist
+lanes, :class:`~repro.synthesis.enumerator.SearchStats`, the
 consistent queries found so far and the engine/abstraction handles — with
 a small lifecycle API:
 
@@ -22,12 +22,12 @@ a small lifecycle API:
     byte-identical ranked queries and search counters.
 ``run()``
     Drive to completion.  With ``config.workers > 1`` the remaining work
-    is dispatched to the sharded search (:mod:`repro.parallel`): a fresh
-    session takes the classic shard-plan path, a partially stepped one is
-    first aligned to a worklist *round boundary* (the round-based replay
-    merge's precondition) and its live lanes are re-dispatched with their
-    current stacks.  Either way the result is byte-identical to the serial
-    run — the determinism pledge survives preemption.
+    is dispatched to the sharded search (:mod:`repro.parallel`) on one
+    path: the session seeds its lanes (a no-op once started), aligns the
+    worklist to a *round boundary* (the round-based replay merge's
+    precondition; a freshly seeded worklist already sits on one) and ships
+    the live lanes with their current stacks.  The result is byte-identical
+    to the serial run — the determinism pledge survives preemption.
 ``cancel()``
     Stop at the next pop; propagated to in-flight shard workers through
     the executor's shared cancel token.
@@ -73,7 +73,7 @@ from repro.util.timer import Deadline, Stopwatch
 
 #: Checkpoint format version; bumped whenever the pickled state layout
 #: changes so a stale blob fails loudly instead of resuming garbage.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Session lifecycle phases.
 NEW = "new"          # constructed; lanes not seeded yet
@@ -143,14 +143,13 @@ class SynthesisSession:
         if self._phase != NEW:
             return
         watch = Stopwatch()
-        self._worklist = _Worklist(self.config.strategy)
+        self._worklist = _Worklist()
         skeletons = construct_skeletons(self.env, self.config)
         self.stats.skeletons = len(skeletons)
         for skeleton in skeletons:
-            size = admit_skeleton(skeleton, self.demo, self.config,
-                                  self.stats)
-            if size is not None:
-                self._worklist.add_lane(skeleton, size)
+            if admit_skeleton(skeleton, self.demo, self.config,
+                              self.stats) is not None:
+                self._worklist.add_lane(skeleton)
         self._phase = ACTIVE if self._worklist else DONE
         if self._phase == DONE:
             self._worklist = None
@@ -181,33 +180,20 @@ class SynthesisSession:
         engine, abstraction = self._engine, self._abstraction
         stop = self._stop_built
         worklist, stats = self._worklist, self.stats
-        probe = self._cancel_probe
         hook = self._pop_hook
         new_queries: list[ast.Query] = []
         pops = 0
         try:
             while worklist:
-                # Run-ending checks first, in the serial loop's exact
-                # order; the preemption checks below them are invisible to
-                # an uninterrupted run.
-                if budget.expired():
-                    stats.timed_out = True
-                    self._finish()
-                    break
-                if cfg.max_visited is not None \
-                        and stats.visited >= cfg.max_visited:
-                    stats.timed_out = True
-                    self._finish()
-                    break
-                if probe is not None and probe() and not self._cancelled:
-                    self.cancel()
-                if self._cancelled:
+                # Run-ending checks first; the preemption checks below
+                # them are invisible to an uninterrupted run.
+                if self._halted(budget):
                     break
                 if max_pops is not None and pops >= max_pops:
                     break
                 if slice_deadline.expired():
                     break
-                size, lane_id, query = worklist.pop()
+                lane_id, query = worklist.pop()
                 pops += 1
                 if hook is not None:
                     hook()
@@ -228,12 +214,8 @@ class SynthesisSession:
                         break
                 elif outcome is POP_EXPANDED:
                     # Reversed for LIFO lanes: explored in domain order.
-                    if cfg.strategy == "bfs":
-                        for expansion in expansions:
-                            worklist.push(expansion, size, lane_id)
-                    else:
-                        for expansion in reversed(expansions):
-                            worklist.push(expansion, size, lane_id)
+                    for expansion in reversed(expansions):
+                        worklist.push(expansion, lane_id)
             else:
                 self._finish()          # worklist drained
         finally:
@@ -244,9 +226,8 @@ class SynthesisSession:
         """Drive the session to completion and return the ranked result.
 
         ``config.workers > 1`` dispatches the remaining work to the
-        sharded search; results are byte-identical to serial whichever
-        path executes (and however much of the session was already
-        consumed by ``step``).
+        sharded search; results are byte-identical to serial however much
+        of the session was already consumed by ``step``.
         """
         if self.done:
             return self.result()
@@ -257,10 +238,7 @@ class SynthesisSession:
                     "name (workers rebuild it per shard); pass e.g. "
                     "'provenance' instead of a pre-built Abstraction "
                     "object")
-            if self._phase == NEW:
-                self._run_sharded_fresh()
-            else:
-                self._run_sharded_resume()
+            self._run_sharded()
         else:
             self.step()
         return self.result()
@@ -292,6 +270,25 @@ class SynthesisSession:
         crashes and hangs at an exact, replayable pop.  Runtime-only
         state — never checkpointed; ``None`` clears it."""
         self._pop_hook = hook
+
+    def _halted(self, budget: Deadline) -> bool:
+        """The serial loop's pre-pop checks, in its exact order.
+
+        A spent run-wide budget ends the search with ``timed_out``; a
+        cancel (direct or through the probe) stops it.  Needs no engine,
+        so the sharded dispatch can run the same checks without building
+        the runtime of a session the calling process never pops.
+        """
+        cfg = self.config
+        if budget.expired() or (cfg.max_visited is not None
+                                and self.stats.visited >= cfg.max_visited):
+            self.stats.timed_out = True
+            self._finish()
+            return True
+        probe = self._cancel_probe
+        if probe is not None and probe() and not self._cancelled:
+            self.cancel()
+        return self._cancelled
 
     def _finish(self) -> None:
         self._phase = DONE
@@ -375,38 +372,27 @@ class SynthesisSession:
         if self._cancelled:             # cancel() raced the dispatch
             token.propose(0)
 
-    def _run_sharded_fresh(self) -> None:
-        from repro.parallel import parallel_enumerate
+    def _run_sharded(self) -> None:
+        """Dispatch the session's live lanes onto shard workers.
 
-        watch = Stopwatch()
-        try:
-            result = parallel_enumerate(
-                self.env, self.demo, self.config, self.abstraction_spec,
-                self.stop_spec, cancel_export=self._export_cancel)
-        finally:
-            self._live_cancel = None
-            self._elapsed += watch.elapsed()
-        self._adopt_sharded(result, result.raw_stats)
-
-    def _run_sharded_resume(self) -> None:
-        """Re-dispatch a partially stepped session onto shard workers.
-
-        The replay merge is round-based, so the worklist is first driven
-        (serially) to a round boundary; the live lanes then ship with
-        their current stacks and the merge replays the continuation as if
-        the serial loop had never paused.
+        Every ``workers > 1`` run takes this path.  ``start`` seeds the
+        lanes in the calling process (skeleton construction and the shape
+        precheck, charged once against the budget).  The replay merge is
+        round-based, so a partially stepped worklist is first driven
+        (serially) to a round boundary; a freshly seeded one already sits
+        on one, so the calling process builds no engine, abstraction or
+        stop predicate for it.  The live lanes then ship with their
+        current stacks and the merge replays the continuation as if the
+        serial loop had never paused.
         """
-        # A zero-pop step performs exactly the serial pre-pop budget
-        # checks, so an already-exhausted budget ends the session here
-        # the same way the serial loop would — before any dispatch.
-        self.step(max_pops=0)
+        self.start()
         while not self.done and not self._worklist.at_round_boundary():
             self.step(max_pops=1)
-        if self.done:
-            return
-        lanes = self._worklist.export_lanes()
-        if not lanes:
-            self._finish()
+        # A run the serial loop would end before its next pop (drained,
+        # budget spent, cancelled) ends here, before any dispatch.
+        if self.done or self._halted(self._remaining_deadline()):
+            self._workers_used = self.config.workers
+            self._raw_stats = SearchStats(**self.stats.as_dict())
             return
         from repro.parallel.coordinator import parallel_resume
 
@@ -415,8 +401,8 @@ class SynthesisSession:
         watch = Stopwatch()
         try:
             result = parallel_resume(
-                lanes, self.env, self.demo, self.config,
-                self._remaining_config(), self.abstraction_spec,
+                self._worklist.export_lanes(), self.env, self.demo,
+                self.config, self._remaining_config(), self.abstraction_spec,
                 self.stop_spec, base, cancel_export=self._export_cancel)
         finally:
             self._live_cancel = None

@@ -13,10 +13,10 @@ or clobbering caches.  :meth:`Synthesizer.reset` is correspondingly
 engine-scoped: it clears *this* session's caches and nobody else's.
 
 With ``config.workers > 1``, :meth:`Synthesizer.run` hands the search to
-:mod:`repro.parallel`: the skeleton worklist is partitioned into shards,
-each searched by a worker owning its own engine, and the shard outputs are
-merged deterministically — ranked queries and search counters are
-byte-identical to the serial run regardless of worker count.
+:mod:`repro.parallel`: the session seeds its skeleton lanes, deals them to
+shards, each searched by a worker owning its own engine, and the shard
+outputs are merged deterministically — ranked queries and search counters
+are byte-identical to the serial run regardless of worker count.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Unit tests for the sharded-search building blocks.
 
 Covers the mergeable stats (`SearchStats.merge` / `EngineStats.merge`), the
-shard planner (coverage, balance, determinism under permuted input), the
-declarative stop specs, the parallel knob validation, the dead-worker
+shard planner over a seeded session's lanes (coverage, balance,
+determinism under permuted input), the declarative stop specs, the
+parallel knob validation, cancellation of a sharded run, the dead-worker
 re-dispatch path of the process executor, and pickled dispatch (no
 shared-memory segment, no manager process).
 """
@@ -15,16 +16,16 @@ import pytest
 
 from repro.benchmarks import get_task
 from repro.engine import EngineStats, make_engine
-from repro.parallel import ShardPlanner, estimated_lane_cost
+from repro.parallel import ShardPlanner, estimated_lane_cost, plan_lanes
 from repro.synthesis import (
     CallableStop,
     GroundTruthStop,
     SearchStats,
     StopSpec,
     SynthesisConfig,
+    SynthesisSession,
     Synthesizer,
     as_stop_spec,
-    construct_skeletons,
 )
 
 
@@ -90,48 +91,67 @@ class TestEngineStatsMerge:
 
 
 @pytest.fixture(scope="module")
-def skeletons():
+def lanes():
+    """The live ``(lane_id, stack)`` lanes of a freshly seeded session —
+    exactly what a sharded run deals to its shards."""
     task = get_task("fe01_total_sales_per_region")
-    return construct_skeletons(task.env, task.config)
+    session = SynthesisSession(task.tables, task.demonstration, task.config)
+    session.start()
+    return session._worklist.export_lanes()
+
+
+def _membership(plan, keys):
+    """lane key -> shard id (for plan equality across orderings)."""
+    return {keys[item]: shard_id
+            for shard_id, items in enumerate(plan.shards) for item in items}
 
 
 class TestShardPlanner:
-    def test_plan_partitions_every_lane_once(self, skeletons):
-        plan = ShardPlanner(4).plan(skeletons)
+    def test_plan_partitions_every_lane_once(self, lanes):
+        plan, payloads = plan_lanes(lanes, 4)
         seen = [lane for shard in plan.shards for lane in shard]
-        assert sorted(seen) == list(range(len(skeletons)))
+        assert sorted(seen) == list(range(len(lanes)))
         assert all(list(shard) == sorted(shard) for shard in plan.shards)
+        shipped = [lane_id for payload in payloads for lane_id, _ in payload]
+        assert sorted(shipped) == [lane_id for lane_id, _ in lanes]
 
-    def test_more_workers_than_lanes(self, skeletons):
-        plan = ShardPlanner(10 * len(skeletons)).plan(skeletons)
-        assert plan.n_shards == len(skeletons)
+    def test_more_workers_than_lanes(self, lanes):
+        plan, _ = plan_lanes(lanes, 10 * len(lanes))
+        assert plan.n_shards == len(lanes)
         assert all(len(shard) == 1 for shard in plan.shards)
 
     def test_empty_skeleton_list(self):
-        plan = ShardPlanner(4).plan([])
+        plan, payloads = plan_lanes([], 4)
         assert plan.n_shards == 0
         assert plan.n_lanes == 0
+        assert payloads == []
 
-    def test_cost_rr_balances_estimated_cost(self, skeletons):
-        plan = ShardPlanner(4).plan(skeletons)
+    def test_cost_rr_balances_estimated_cost(self, lanes):
+        plan, _ = plan_lanes(lanes, 4)
         # Descending-cost round-robin keeps the spread within the largest
         # single lane's cost.
         assert max(plan.costs) - min(plan.costs) <= \
-            max(estimated_lane_cost(sk) for sk in skeletons)
+            max(sum(map(estimated_lane_cost, stack)) for _, stack in lanes)
 
-    def test_cost_rr_membership_invariant_under_permutation(self, skeletons):
+    def test_cost_rr_membership_invariant_under_permutation(self, lanes):
         planner = ShardPlanner(4)
-        baseline = planner.plan(skeletons).membership(skeletons)
+        costs = [sum(map(estimated_lane_cost, stack)) for _, stack in lanes]
+        keys = [lane_id for lane_id, _ in lanes]
+        baseline = _membership(planner.plan_weighted(costs, keys), keys)
         rng = random.Random(7)
         for _ in range(3):
-            shuffled = list(skeletons)
-            rng.shuffle(shuffled)
-            assert planner.plan(shuffled).membership(shuffled) == baseline
+            order = list(range(len(lanes)))
+            rng.shuffle(order)
+            shuffled_keys = [keys[i] for i in order]
+            plan = planner.plan_weighted([costs[i] for i in order],
+                                         shuffled_keys)
+            assert _membership(plan, shuffled_keys) == baseline
 
-    def test_plan_is_deterministic(self, skeletons):
-        a = ShardPlanner(3).plan(skeletons)
-        b = ShardPlanner(3).plan(skeletons)
+    def test_plan_is_deterministic(self, lanes):
+        a, payloads_a = plan_lanes(lanes, 3)
+        b, payloads_b = plan_lanes(lanes, 3)
         assert a == b
+        assert payloads_a == payloads_b
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -180,10 +200,6 @@ class TestParallelConfig:
             with pytest.raises(ValueError):
                 SynthesisConfig(parallel_executor=executor)
 
-    def test_rejects_parallel_fifo_strategies(self):
-        with pytest.raises(ValueError):
-            SynthesisConfig(workers=2, strategy="bfs")
-
     def test_sharded_run_requires_named_abstraction(self):
         task = get_task("fe01_total_sales_per_region")
         from repro.abstraction.base import make_abstraction
@@ -201,6 +217,34 @@ class TestParallelConfig:
                                   engine=make_engine("columnar"))
         with pytest.raises(ValueError, match="engine"):
             synthesizer.run(task.tables, task.demonstration)
+
+
+class TestCancelledShardedRun:
+    """A cancel is not a budget expiry: serial and sharded runs agree."""
+
+    def _run_cancelled_at_first_consistent(self, workers):
+        task = get_task("fe20_share_of_region_total")
+        config = task.config.replace(workers=workers,
+                                     parallel_executor="serial",
+                                     timeout_s=None, max_visited=2000)
+
+        def cancel_and_continue(query):
+            session.cancel()
+            return False
+
+        session = SynthesisSession(task.tables, task.demonstration, config,
+                                   stop=CallableStop(cancel_and_continue))
+        return session, session.run()
+
+    def test_cancelled_sharded_run_is_not_timed_out(self):
+        serial_session, serial = self._run_cancelled_at_first_consistent(1)
+        sharded_session, sharded = \
+            self._run_cancelled_at_first_consistent(4)
+        assert serial_session.status == "cancelled"
+        assert sharded_session.status == "cancelled"
+        assert not serial.stats.timed_out
+        assert not sharded.stats.timed_out
+        assert sharded.workers == 4
 
 
 class TestRunWideBudgets:

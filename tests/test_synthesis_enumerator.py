@@ -74,12 +74,9 @@ class TestBasicSynthesis:
 
 
 class TestStrategies:
-    @pytest.mark.parametrize("strategy", ["sized_dfs", "bfs", "dfs"])
-    def test_all_strategies_find_the_query(self, tiny_table, sum_demo, env,
-                                           strategy):
+    def test_worklist_finds_the_query(self, tiny_table, sum_demo, env):
         gt = Group(TableRef("T"), keys=(0,), agg_func="sum", agg_col=2)
-        config = SynthesisConfig(max_operators=1, timeout_s=20,
-                                 strategy=strategy)
+        config = SynthesisConfig(max_operators=1, timeout_s=20)
         result = synthesize([tiny_table], sum_demo, config=config,
                             stop_predicate=lambda q: same_output(q, gt, env))
         assert result.solved

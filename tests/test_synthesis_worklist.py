@@ -1,4 +1,4 @@
-"""The worklist strategies: fairness, ordering, exhaustion."""
+"""The worklist: fairness, ordering, exhaustion."""
 
 import pytest
 
@@ -12,83 +12,81 @@ def _q(name):
 
 class TestSizedDfs:
     def test_single_lane_is_lifo(self):
-        wl = _Worklist("sized_dfs")
-        lane = wl.add_lane(_q("root"), 1)
-        _, lid, root = wl.pop()
-        wl.push(_q("a"), 1, lid)
-        wl.push(_q("b"), 1, lid)
-        assert wl.pop()[2].name == "b"
-        assert wl.pop()[2].name == "a"
+        wl = _Worklist()
+        lane = wl.add_lane(_q("root"))
+        lid, root = wl.pop()
+        wl.push(_q("a"), lid)
+        wl.push(_q("b"), lid)
+        assert wl.pop()[1].name == "b"
+        assert wl.pop()[1].name == "a"
         assert not wl
 
     def test_round_robin_across_lanes(self):
-        wl = _Worklist("sized_dfs")
-        l1 = wl.add_lane(_q("x1"), 1)
-        l2 = wl.add_lane(_q("y1"), 1)
+        wl = _Worklist()
+        l1 = wl.add_lane(_q("x1"))
+        l2 = wl.add_lane(_q("y1"))
         # pop alternates lanes
         first = wl.pop()
         second = wl.pop()
-        assert {first[2].name, second[2].name} == {"x1", "y1"}
-        assert first[1] != second[1]
+        assert {first[1].name, second[1].name} == {"x1", "y1"}
+        assert first[0] != second[0]
 
     def test_no_lane_starvation(self):
-        wl = _Worklist("sized_dfs")
-        big = wl.add_lane(_q("big0"), 1)
-        small = wl.add_lane(_q("small0"), 2)
+        wl = _Worklist()
+        big = wl.add_lane(_q("big0"))
+        small = wl.add_lane(_q("small0"))
         popped = []
         for step in range(10):
-            _, lid, q = wl.pop()
+            lid, q = wl.pop()
             popped.append(q.name)
             if lid == big:  # the big lane keeps regenerating work
-                wl.push(_q(f"big{step + 1}"), 1, big)
+                wl.push(_q(f"big{step + 1}"), big)
         # the small (later, larger-size) lane still got served
         assert "small0" in popped
 
     def test_exhausted_lanes_dropped(self):
-        wl = _Worklist("sized_dfs")
-        wl.add_lane(_q("a"), 1)
-        wl.add_lane(_q("b"), 1)
-        assert wl.pop()[2] is not None
-        assert wl.pop()[2] is not None
+        wl = _Worklist()
+        wl.add_lane(_q("a"))
+        wl.add_lane(_q("b"))
+        assert wl.pop()[1] is not None
+        assert wl.pop()[1] is not None
         assert not wl
 
     def test_bool_reflects_content(self):
-        wl = _Worklist("sized_dfs")
+        wl = _Worklist()
         assert not wl
-        lid = wl.add_lane(_q("a"), 1)
+        lid = wl.add_lane(_q("a"))
         assert wl
         wl.pop()
         assert not wl
-        wl.push(_q("b"), 1, lid)
+        wl.push(_q("b"), lid)
         assert wl
 
 
 class TestExhaustionHardening:
     """pop() on a drained worklist reports exhaustion, never crashes."""
 
-    @pytest.mark.parametrize("strategy", ["sized_dfs", "bfs", "dfs"])
-    def test_pop_empty_raises_index_error(self, strategy):
-        wl = _Worklist(strategy)
+    def test_pop_empty_raises_index_error(self):
+        wl = _Worklist()
         with pytest.raises(IndexError):
             wl.pop()
 
-    @pytest.mark.parametrize("strategy", ["sized_dfs", "bfs", "dfs"])
-    def test_pop_after_drain_raises_index_error(self, strategy):
-        wl = _Worklist(strategy)
-        wl.add_lane(_q("a"), 1)
-        wl.add_lane(_q("b"), 1)
+    def test_pop_after_drain_raises_index_error(self):
+        wl = _Worklist()
+        wl.add_lane(_q("a"))
+        wl.add_lane(_q("b"))
         wl.pop()
         wl.pop()
         # Historically this died with ZeroDivisionError (lane-drop loop
-        # re-indexing into an emptied lane list) under sized_dfs.
+        # re-indexing into an emptied lane list).
         with pytest.raises(IndexError):
             wl.pop()
 
     def test_last_live_lane_draining_mid_scan(self):
         # Force the lane-drop loop to walk over several exhausted lanes and
         # delete the final one mid-scan.
-        wl = _Worklist("sized_dfs")
-        lanes = [wl.add_lane(_q(f"s{i}"), 1) for i in range(3)]
+        wl = _Worklist()
+        lanes = [wl.add_lane(_q(f"s{i}")) for i in range(3)]
         for _ in lanes:
             wl.pop()
         assert not wl
@@ -101,31 +99,14 @@ class TestExhaustionHardening:
         assert not wl
 
     def test_drop_scan_continues_to_live_lane(self):
-        wl = _Worklist("sized_dfs")
-        a = wl.add_lane(_q("a"), 1)
-        b = wl.add_lane(_q("b"), 1)
-        c = wl.add_lane(_q("c"), 1)
+        wl = _Worklist()
+        a = wl.add_lane(_q("a"))
+        b = wl.add_lane(_q("b"))
+        c = wl.add_lane(_q("c"))
         # Empty lanes a and b by popping their single items; lane c stays.
-        popped = {wl.pop()[2].name for _ in range(2)}
+        popped = {wl.pop()[1].name for _ in range(2)}
         assert popped <= {"a", "b", "c"}
         # Whatever remains must still be reachable through the drop scan.
-        assert wl.pop()[2] is not None
+        assert wl.pop()[1] is not None
         assert not wl
 
-
-class TestFifoStrategies:
-    def test_bfs_order(self):
-        wl = _Worklist("bfs")
-        lid = wl.add_lane(_q("s1"), 1)
-        wl.add_lane(_q("s2"), 1)
-        wl.push(_q("c1"), 1, lid)
-        names = [wl.pop()[2].name for _ in range(3)]
-        assert names == ["s1", "s2", "c1"]
-
-    def test_dfs_order(self):
-        wl = _Worklist("dfs")
-        lid = wl.add_lane(_q("s1"), 1)
-        wl.add_lane(_q("s2"), 1)
-        wl.push(_q("c1"), 1, lid)
-        names = [wl.pop()[2].name for _ in range(3)]
-        assert names == ["c1", "s1", "s2"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.engine.base import EngineStats
 from repro.lang import ast
-from repro.parallel.executor import run_payloads
+from repro.parallel.executor import CancelToken, run_payloads
 from repro.parallel.merge import replay_merge
 from repro.parallel.planner import ShardPlan, ShardPlanner, \
     estimated_lane_cost
@@ -33,7 +33,7 @@ def plan_lanes(lanes, workers: int) -> tuple[ShardPlan, list[tuple]]:
 def parallel_resume(lanes, env: ast.Env, demo: Demonstration,
                     config: SynthesisConfig, run_config: SynthesisConfig,
                     abstraction_spec: str, stop_spec: StopSpec | None,
-                    base: SynthesisResult, cancel_export=None,
+                    base: SynthesisResult, cancel: CancelToken,
                     ) -> SynthesisResult:
     """Continue a seeded session's search on shard workers.
 
@@ -50,15 +50,13 @@ def parallel_resume(lanes, env: ast.Env, demo: Demonstration,
     its budgets to the unconsumed remainder, since worker-local counters
     restart at zero.  ``result.raw_stats`` is the shards' own work and
     ``result.engine_stats`` the summed cache traffic of their engines.
-    ``cancel_export`` receives the run's shared cancel token (a live
-    session's cancellation hook).
+    ``cancel`` is the session's cancel token, handed to every shard as
+    the run's shared round limit.
     """
     watch = Stopwatch()
     _, payloads = plan_lanes(lanes, config.workers)
     outcomes = run_payloads(payloads, env, demo, run_config,
-                            abstraction_spec, stop_spec,
-                            executor=run_config.parallel_executor,
-                            cancel_export=cancel_export)
+                            abstraction_spec, stop_spec, cancel)
     result = replay_merge(outcomes, config, has_stop=stop_spec is not None,
                           base=base)
     result.workers = config.workers

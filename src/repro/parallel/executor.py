@@ -13,17 +13,22 @@ process executor must match (and the differential tests hold it to it):
 
 ``REPRO_START_METHOD`` forces the process start method (the CI spawn job).
 
-Cancellation is a single shared *round limit*: when a worker's stop
-predicate fires in round ``r`` it proposes ``r``; the limit is the minimum
-of all proposals and every worker stops once it has completed that round —
-the earliest point at which the merge provably needs no further events.
+Cancellation is a single shared *round limit*, a :class:`CancelToken`:
+when a worker's stop predicate fires in round ``r`` it proposes ``r``; the
+limit is the minimum of all proposals and every worker stops once it has
+completed that round — the earliest point at which the merge provably
+needs no further events.  A cancel is a proposal of round 0.  The token is
+the dispatching session's own (``SynthesisSession.set_cancel_token``), so
+``cancel()`` — from the caller's thread, or from the service process
+through a pool worker's request slot — reaches every shard of either
+executor.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
-import threading
 import time
 import traceback
 
@@ -35,38 +40,36 @@ NO_LIMIT = 2 ** 62
 
 
 class CancelToken:
-    """In-process shared round limit (serial executor)."""
+    """A shared round limit: one slot of a shared int64 array.
 
-    def __init__(self) -> None:
-        self._limit = NO_LIMIT
-        self._lock = threading.Lock()
+    ``limit()`` is the minimum round any holder proposed (``NO_LIMIT``
+    until one does), so ``limit() == 0`` means cancelled.  The array is
+    shared memory, so one token serves a session, the thread that cancels
+    it and every shard process alike.  A standalone token owns a fresh
+    one-slot array; a serving pool hands each request a slot of its own
+    array (:mod:`repro.serve.pool`).
+    """
 
-    def limit(self) -> int:
-        return self._limit
+    __slots__ = ("_limits", "_slot")
 
-    def propose(self, round_no: int) -> None:
-        with self._lock:
-            if round_no < self._limit:
-                self._limit = round_no
-
-
-class ProcessCancelToken:
-    """Cross-process shared round limit backed by a synchronized Value."""
-
-    def __init__(self, ctx) -> None:
-        self._value = ctx.Value("q", NO_LIMIT)
+    def __init__(self, limits=None, slot: int = 0) -> None:
+        if limits is None:
+            limits = pick_context().Array("q", [NO_LIMIT])
+        self._limits = limits
+        self._slot = slot
 
     def limit(self) -> int:
-        # Locked read: a torn 64-bit load (32-bit platforms) racing a
-        # propose() could mix NO_LIMIT's and a proposal's halves into a
-        # bogus tiny limit and stop a worker before it covered anything.
-        with self._value.get_lock():
-            return self._value.value
+        # Locked read (the synchronized array's indexing takes its lock):
+        # a torn 64-bit load on a 32-bit platform racing a propose() could
+        # mix NO_LIMIT's and a proposal's halves into a bogus tiny limit
+        # and stop a worker before it covered anything.
+        return self._limits[self._slot]
 
     def propose(self, round_no: int) -> None:
-        with self._value.get_lock():
-            if round_no < self._value.value:
-                self._value.value = round_no
+        with self._limits.get_lock():
+            values = self._limits.get_obj()
+            if round_no < values[self._slot]:
+                values[self._slot] = round_no
 
 
 def _guarded_run_shard(shard_id, lanes, env, demo, config, abstraction_spec,
@@ -87,31 +90,29 @@ def _process_main(shard_id, lanes, env, demo, config, abstraction_spec,
 
 
 def run_payloads(payloads, env, demo, config, abstraction_spec: str,
-                 stop_spec, executor: str | None = None,
-                 cancel_export=None) -> list[ShardOutcome]:
+                 stop_spec, cancel: CancelToken | None = None,
+                 ) -> list[ShardOutcome]:
     """Execute shard payloads; outcomes ordered by shard id.
 
     ``payloads[i]`` is shard ``i``'s tuple of ``(lane_id, stack)`` pairs —
     live lanes exported from a seeded session (see
-    :func:`repro.parallel.worker.run_shard`).  ``cancel_export``, when
-    given, receives the run's shared cancel token as soon as it exists —
-    the hook a live :class:`~repro.synthesis.session.SynthesisSession`
-    uses to propagate ``cancel()`` into in-flight workers.
+    :func:`repro.parallel.worker.run_shard`).  ``cancel`` is the run's
+    shared round limit — a live session's own token, so its ``cancel()``
+    stops the shards; a fresh one when not given.
     """
-    executor = executor or config.parallel_executor
+    if cancel is None:
+        cancel = CancelToken()
     # One wall-clock budget for the whole run: the serial executor's shards
     # run one after another and must share it, not each start afresh.
     # time.monotonic is system-wide on the platforms with fork, so the
     # absolute expiry crosses process boundaries intact.
     deadline = Deadline(config.timeout_s)
+    executor = config.parallel_executor
     if executor == "process":
         outcomes = _run_processes(payloads, env, demo, config,
                                   abstraction_spec, stop_spec, deadline,
-                                  cancel_export)
+                                  cancel)
     elif executor == "serial":
-        cancel = CancelToken()
-        if cancel_export is not None:
-            cancel_export(cancel)
         outcomes = [_guarded_run_shard(i, lanes, env, demo, config,
                                        abstraction_spec, stop_spec, cancel,
                                        deadline)
@@ -154,11 +155,8 @@ def pick_context(methods=None, start_method: str | None = None):
 
 
 def _run_processes(payloads, env, demo, config, abstraction_spec,
-                   stop_spec, deadline, cancel_export) -> list[ShardOutcome]:
-    ctx = pick_context(multiprocessing.get_all_start_methods())
-    cancel = ProcessCancelToken(ctx)
-    if cancel_export is not None:
-        cancel_export(cancel)
+                   stop_spec, deadline, cancel) -> list[ShardOutcome]:
+    ctx = pick_context()
     queue = ctx.SimpleQueue()
 
     def spawn(i: int):
@@ -167,7 +165,18 @@ def _run_processes(payloads, env, demo, config, abstraction_spec,
             args=(i, payloads[i], env, demo, config, abstraction_spec,
                   stop_spec, cancel, deadline, queue),
             daemon=True)
-        proc.start()
+        # Freeze the heap across the fork: a forked worker's collector
+        # then never traverses the inherited objects, whose refcount and
+        # GC-header writes would copy every touched page and cost each
+        # shard CPU the serial run does not spend.  No effect on spawn.
+        # Collecting the young generations first keeps their garbage
+        # from being promoted to the oldest one when the parent thaws.
+        gc.collect(1)
+        gc.freeze()
+        try:
+            proc.start()
+        finally:
+            gc.unfreeze()
         return proc
 
     procs = [spawn(i) for i in range(len(payloads))]

@@ -27,10 +27,11 @@ A worker stops on its own when
 * its lanes exhaust, or its visited/wall-clock budget expires.
 
 On both the ``top_n`` and predicate stops the worker proposes its stopping
-round to the shared :mod:`~repro.parallel.executor` cancel token: the
-global cutoff provably lands at or before that round, so sibling shards
-stop as soon as they have covered it instead of searching to their own
-stopping points.
+round to the run's shared :class:`~repro.parallel.executor.CancelToken`:
+the global cutoff provably lands at or before that round, so sibling
+shards stop as soon as they have covered it instead of searching to their
+own stopping points.  The token is the dispatching session's, so a cancel
+(a proposal of round 0) stops every shard before its next round.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ def run_shard(shard_id: int, lanes, env, demo: Demonstration,
     boundary.  The session already admitted (and counted) their
     skeletons, so each lane resumes exactly where the serial loop paused.
 
-    ``cancel`` is the executor's shared cancel token (``limit()`` /
-    ``propose(round)``); pass an unlimited token for independent runs.
+    ``cancel`` is the run's shared
+    :class:`~repro.parallel.executor.CancelToken` (``limit()`` /
+    ``propose(round)``); pass a fresh one for independent runs.
     ``deadline`` is the *run-wide* wall-clock budget shared by every shard
     (one ``timeout_s`` for the whole run, however shards are scheduled);
     each worker starts its own when none is given.

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 from repro.abstraction.base import Abstraction
 from repro.engine.base import EvalEngine, make_engine
-from repro.parallel.executor import pick_context
+from repro.parallel.executor import NO_LIMIT, CancelToken, pick_context
 from repro.serve.faults import (
     FAULT_EXITCODE,
     FaultInjector,
@@ -102,10 +102,13 @@ RESTART_BACKOFF_S = 0.05
 #: thread backend.
 MAX_SPAWN_ATTEMPTS = 3
 
-#: Shared cancel-flag slots per process pool.  Live requests are bounded
-#: by service admission (default 8), so exhaustion is theoretical; a
-#: request that misses a slot still cancels at its next slice boundary
-#: via the queued cancel op.
+#: Cancel-token slots per process pool: a shared int64 array of round
+#: limits, one slot per live request (``NO_LIMIT`` live, 0 cancelled),
+#: which the hosted session and its fanned-out shards share as their
+#: :class:`~repro.parallel.executor.CancelToken`.  Live requests are
+#: bounded by service admission (default 8), so exhaustion is
+#: theoretical; a request that misses a slot still cancels at its next
+#: slice boundary via the queued cancel op.
 _CANCEL_SLOTS = 256
 
 #: Unpickled input environments a worker process keeps per env digest;
@@ -227,12 +230,10 @@ class _SessionHost:
     """
 
     def __init__(self, worker_id: int, incarnation: int = 0,
-                 injector: FaultInjector | None = None,
-                 checkpoints: bool = True) -> None:
+                 injector: FaultInjector | None = None) -> None:
         self.worker_id = worker_id
         self.incarnation = incarnation
         self.injector = injector
-        self.checkpoints = checkpoints
         self._warm: dict[tuple, tuple[EvalEngine, Abstraction]] = {}
         self._served: set[tuple] = set()    # (warm key, env digest) pairs
         self._sessions: dict[int, _Hosted] = {}
@@ -310,7 +311,11 @@ class _SessionHost:
 
         With ``config.workers > 1`` the session re-dispatches its
         remaining work onto shard workers at the next round boundary —
-        the intra-request fan-out path, byte-identical to slicing.
+        the intra-request fan-out path, byte-identical to slicing.  The
+        request's deadline bounds the whole op: when it passes, the
+        session is cancelled — its token carries that to every shard —
+        and the partial result is reported ``timed_out``, as
+        :meth:`step_session` reports it.
         """
         hosted = self._sessions[request_id]
         session = hosted.session
@@ -322,12 +327,29 @@ class _SessionHost:
         if injector is not None:
             injector.slice_begin(session)
         found_before = len(session.result(ranked=False).queries)
-        session.run()
+        expired = threading.Event()
+
+        def expire() -> None:
+            expired.set()
+            session.cancel()
+
+        remaining = hosted.deadline.remaining()
+        alarm = None if remaining is None \
+            else threading.Timer(remaining, expire)
+        if alarm is not None:
+            alarm.start()
+        try:
+            session.run()
+        finally:
+            if alarm is not None:
+                alarm.cancel()
         self._counts.slices += 1
         if injector is not None:
             injector.slice_end()
         new = session.result(ranked=False).queries[found_before:]
-        return self._complete(request_id, new, timed_out=False)
+        if expired.is_set():
+            session.stats.timed_out = True
+        return self._complete(request_id, new, timed_out=expired.is_set())
 
     def cancel_session(self, request_id: int) -> None:
         if self.injector is not None:
@@ -356,8 +378,6 @@ class _SessionHost:
         session.attach_engine(engine, abstraction)
 
     def _slice_checkpoint(self, session: SynthesisSession) -> bytes | None:
-        if not self.checkpoints:
-            return None
         try:
             return session.checkpoint(strip_env=True)
         except Exception:
@@ -463,10 +483,9 @@ class _ThreadWorker:
     def __init__(self, worker_id: int,
                  dispatch: Callable[[SliceOutcome], None],
                  incarnation: int = 0,
-                 injector: FaultInjector | None = None,
-                 checkpoints: bool = True) -> None:
+                 injector: FaultInjector | None = None) -> None:
         self.host = _SessionHost(worker_id, incarnation=incarnation,
-                                 injector=injector, checkpoints=checkpoints)
+                                 injector=injector)
         self.crashed = False
         self._dispatch = dispatch
         self._jobs: queue.Queue = queue.Queue()
@@ -520,17 +539,14 @@ class ThreadBackend(PoolBackend):
     def __init__(self, size: int,
                  dispatch: Callable[[SliceOutcome], None],
                  faults: FaultPlan | None = None,
-                 checkpoints: bool = True,
                  incarnations: list[int] | None = None) -> None:
         self._dispatch = dispatch
         self._faults = faults
-        self._checkpoints = checkpoints
         self._closing = False
         incarnations = incarnations or [0] * size
         self._workers = [
             _ThreadWorker(i, dispatch, incarnation=incarnations[i],
-                          injector=make_injector(faults, i, incarnations[i]),
-                          checkpoints=checkpoints)
+                          injector=make_injector(faults, i, incarnations[i]))
             for i in range(size)]
 
     def open(self, worker_id, request_id, session, slice_pops, deadline,
@@ -567,8 +583,7 @@ class ThreadBackend(PoolBackend):
         old.submit(_SHUTDOWN)
         self._workers[worker_id] = _ThreadWorker(
             worker_id, self._dispatch, incarnation=incarnation,
-            injector=make_injector(self._faults, worker_id, incarnation),
-            checkpoints=self._checkpoints)
+            injector=make_injector(self._faults, worker_id, incarnation))
 
     def close(self, timeout_s: float) -> list[int]:
         self._closing = True
@@ -582,23 +597,8 @@ class ThreadBackend(PoolBackend):
             worker.submit(_SHUTDOWN)
 
 
-class _SlotProbe:
-    """Picklable-by-construction cancel probe over one shared-flag slot
-    (built worker-side; a closure would do, a class documents better)."""
-
-    __slots__ = ("flags", "slot")
-
-    def __init__(self, flags, slot: int) -> None:
-        self.flags = flags
-        self.slot = slot
-
-    def __call__(self) -> bool:
-        return self.flags[self.slot] != 0
-
-
-def _process_worker_main(worker_id: int, jobs, results, cancel_flags,
-                         faults: FaultPlan | None, incarnation: int,
-                         checkpoints: bool) -> None:
+def _process_worker_main(worker_id: int, jobs, results, cancel_limits,
+                         faults: FaultPlan | None, incarnation: int) -> None:
     """Body of one long-lived worker process.
 
     Each ``open`` op carries a pickled checkpoint with the input tables
@@ -612,8 +612,7 @@ def _process_worker_main(worker_id: int, jobs, results, cancel_flags,
     """
     host = _SessionHost(worker_id, incarnation=incarnation,
                         injector=make_injector(faults, worker_id,
-                                               incarnation),
-                        checkpoints=checkpoints)
+                                               incarnation))
     envs: dict = {}                     # env digest -> Env
 
     def open_session(request_id: int, payload) -> SliceOutcome:
@@ -627,7 +626,7 @@ def _process_worker_main(worker_id: int, jobs, results, cancel_flags,
                 envs.clear()
             envs[env_key] = session.env
         if slot >= 0:
-            session.set_cancel_probe(_SlotProbe(cancel_flags, slot))
+            session.set_cancel_token(CancelToken(cancel_limits, slot))
         return host.open_session(request_id, session, slice_pops, deadline,
                                  env_key)
 
@@ -638,8 +637,9 @@ def _process_worker_main(worker_id: int, jobs, results, cancel_flags,
             if kind == "close":
                 break
             if kind == "cancel":
-                # Slice-boundary fallback; the shared flag already covers
-                # mid-slice (the session polls it every pop).
+                # Slice-boundary fallback; the request's token slot
+                # already covers mid-slice (the session polls it every
+                # pop) and fanned-out shards.
                 host.cancel_session(request_id)
                 continue
             results.put(_apply_op(host, kind, request_id,
@@ -666,13 +666,18 @@ class ProcessBackend(PoolBackend):
 
     def __init__(self, size: int, dispatch: Callable[[SliceOutcome], None],
                  start_method: str | None = None,
-                 faults: FaultPlan | None = None,
-                 checkpoints: bool = True) -> None:
+                 faults: FaultPlan | None = None) -> None:
         self._dispatch = dispatch
         self._faults = faults
-        self._checkpoints = checkpoints
         self._ctx = pick_context(start_method=start_method)
-        self._cancel_flags = self._ctx.Array("b", _CANCEL_SLOTS, lock=False)
+        # The slots cross into pool workers and on into their shard
+        # processes, which start with pick_context()'s method; a lock made
+        # under fork cannot be handed to a spawned process, so it is made
+        # under the other method when the two differ.
+        limits_ctx = self._ctx if self._ctx.get_start_method() != "fork" \
+            else pick_context()
+        self._cancel_limits = limits_ctx.Array("q",
+                                               [NO_LIMIT] * _CANCEL_SLOTS)
         self._results = self._ctx.SimpleQueue()
         self._jobs = [self._ctx.SimpleQueue() for _ in range(size)]
         self._incarnations = [0] * size
@@ -681,7 +686,7 @@ class ProcessBackend(PoolBackend):
         for i in range(size):
             self._spawn(i, 0)
         self._lock = threading.Lock()
-        self._slots: dict[int, int] = {}        # request_id -> flag slot
+        self._slots: dict[int, int] = {}        # request_id -> token slot
         self._free_slots = list(range(_CANCEL_SLOTS))
         self._telemetry = [WorkerTelemetry(worker_id=i) for i in range(size)]
         self._reader = threading.Thread(target=self._read_outcomes,
@@ -693,8 +698,7 @@ class ProcessBackend(PoolBackend):
         proc = self._ctx.Process(
             target=_process_worker_main,
             args=(worker_id, self._jobs[worker_id], self._results,
-                  self._cancel_flags, self._faults, incarnation,
-                  self._checkpoints),
+                  self._cancel_limits, self._faults, incarnation),
             name=f"repro-serve-proc-{worker_id}", daemon=False)
         proc.start()
         self._procs[worker_id] = proc
@@ -705,7 +709,7 @@ class ProcessBackend(PoolBackend):
         with self._lock:
             slot = self._free_slots.pop() if self._free_slots else -1
             if slot >= 0:
-                self._cancel_flags[slot] = 0
+                self._cancel_limits[slot] = NO_LIMIT     # recycled slot
                 self._slots[request_id] = slot
             self._jobs[worker_id].put(
                 ("open", request_id,
@@ -723,7 +727,9 @@ class ProcessBackend(PoolBackend):
         with self._lock:
             slot = self._slots.get(request_id)
             if slot is not None:
-                self._cancel_flags[slot] = 1  # visible mid-slice, next pop
+                # Visible at the session's next pop and its shards' next
+                # round.
+                CancelToken(self._cancel_limits, slot).propose(0)
             self._jobs[worker_id].put(("cancel", request_id, None))
 
     def telemetry(self, worker_id) -> WorkerTelemetry:
@@ -775,10 +781,12 @@ class ProcessBackend(PoolBackend):
 
     def forget(self, request_id: int) -> None:
         with self._lock:
-            slot = self._slots.pop(request_id, None)
-            if slot is not None:
-                self._cancel_flags[slot] = 0
-                self._free_slots.append(slot)
+            self._release_slot(request_id)
+
+    def _release_slot(self, request_id: int) -> None:
+        slot = self._slots.pop(request_id, None)
+        if slot is not None:
+            self._free_slots.append(slot)
 
     def _read_outcomes(self) -> None:
         while True:
@@ -792,10 +800,7 @@ class ProcessBackend(PoolBackend):
                 if outcome.telemetry is not None:
                     self._telemetry[outcome.worker_id] = outcome.telemetry
                 if outcome.done:
-                    slot = self._slots.pop(outcome.request_id, None)
-                    if slot is not None:
-                        self._cancel_flags[slot] = 0
-                        self._free_slots.append(slot)
+                    self._release_slot(outcome.request_id)
             self._dispatch(outcome)
 
     def close(self, timeout_s: float) -> list[int]:
@@ -866,18 +871,13 @@ class WorkerPool:
                  faults: FaultPlan | None = None,
                  slice_timeout_s: float | None = None,
                  supervise_interval_s: float | None = SUPERVISE_INTERVAL_S,
-                 restart_backoff_s: float = RESTART_BACKOFF_S,
-                 max_spawn_attempts: int = MAX_SPAWN_ATTEMPTS,
-                 checkpoints: bool = True) -> None:
+                 ) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
         self.backend_name = resolve_pool_backend(backend, size)
         self.faults = faults if faults is not None else plan_from_env()
         self._size = size
         self._slice_timeout_s = slice_timeout_s
-        self._restart_backoff_s = restart_backoff_s
-        self._max_spawn_attempts = max(1, max_spawn_attempts)
-        self._checkpoints = checkpoints
         self._lock = threading.Lock()
         self._handlers: dict[int, tuple[Callable, int]] = {}
         self._depths = [0] * size
@@ -892,12 +892,10 @@ class WorkerPool:
         self.recovery = RecoveryTelemetry()
         if self.backend_name == "threads":
             self._backend: PoolBackend = ThreadBackend(
-                size, self._on_outcome, faults=self.faults,
-                checkpoints=checkpoints)
+                size, self._on_outcome, faults=self.faults)
         else:
             self._backend = ProcessBackend(
-                size, self._on_outcome, start_method, faults=self.faults,
-                checkpoints=checkpoints)
+                size, self._on_outcome, start_method, faults=self.faults)
         self._stop_supervisor = threading.Event()
         self._supervisor: threading.Thread | None = None
         if supervise_interval_s is not None and supervise_interval_s > 0:
@@ -1090,7 +1088,7 @@ class WorkerPool:
 
     def _restart_with_backoff(self, worker_id: int,
                               incarnation: int) -> bool:
-        for attempt in range(self._max_spawn_attempts):
+        for attempt in range(MAX_SPAWN_ATTEMPTS):
             try:
                 self._backend.restart_worker(worker_id, incarnation)
             except Exception as exc:
@@ -1098,10 +1096,9 @@ class WorkerPool:
                     self.recovery.spawn_failures += 1
                 _LOG.warning("restart of pool worker %d failed "
                              "(attempt %d/%d): %s", worker_id, attempt + 1,
-                             self._max_spawn_attempts, exc)
-                if attempt + 1 < self._max_spawn_attempts:
-                    time.sleep(min(2.0,
-                                   self._restart_backoff_s * 2 ** attempt))
+                             MAX_SPAWN_ATTEMPTS, exc)
+                if attempt + 1 < MAX_SPAWN_ATTEMPTS:
+                    time.sleep(min(2.0, RESTART_BACKOFF_S * 2 ** attempt))
                 continue
             with self._lock:
                 self.recovery.restarts += 1
@@ -1116,7 +1113,7 @@ class WorkerPool:
         _LOG.warning(
             "pool degrading to the thread backend after %d failed spawn "
             "attempts; live requests will be replayed on threads",
-            self._max_spawn_attempts)
+            MAX_SPAWN_ATTEMPTS)
         with self._lock:
             survivors = [(rid, entry[0], entry[1])
                          for rid, entry in self._handlers.items()]
@@ -1133,7 +1130,7 @@ class WorkerPool:
             # degraded tier must be stable, so it runs fault-free.
             self._backend = ThreadBackend(
                 self._size, self._on_outcome, faults=None,
-                checkpoints=self._checkpoints, incarnations=incarnations)
+                incarnations=incarnations)
             self.backend_name = "threads"
             self._degraded = True
         try:

@@ -28,10 +28,12 @@ asks again.  :class:`SynthesisService` makes that loop first-class:
   (:class:`ServiceOverloaded`, carrying a ``retry_after_s`` hint derived
   from the backlog, instead of an unbounded queue);
 * each request carries its own wall-clock budget (checked worker-side
-  before every slice, so it covers queueing on either tier), and
-  :meth:`RequestHandle.cancel` stops the session at its next pop — on
-  the process tier via a shared-memory flag the session polls, plus the
-  executor's shared cancel token if it fanned out.
+  before every slice, so it covers queueing on either tier, and armed as
+  a cancel for the length of a fanned-out run), and
+  :meth:`RequestHandle.cancel` stops the session at its next pop and
+  any shards it fanned out to at their next round — through the
+  session's cancel token, which on the process tier is the request's
+  slot of the pool's shared round-limit array.
 
 Fault tolerance (PR 9): the service retains each request's latest
 slice-boundary checkpoint blob.  When the pool's supervisor reports a

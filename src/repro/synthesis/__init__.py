@@ -7,7 +7,7 @@ provenance-tracking output is consistent with the user demonstration.
 """
 
 from repro.synthesis.config import SynthesisConfig
-from repro.synthesis.enumerator import SearchStats, SynthesisResult, enumerate_queries
+from repro.synthesis.enumerator import SearchStats, SynthesisResult
 from repro.synthesis.equivalence import same_output
 from repro.synthesis.ranking import rank_queries
 from repro.synthesis.session import CHECKPOINT_VERSION, StepReport, SynthesisSession
@@ -23,7 +23,7 @@ from repro.synthesis.synthesizer import Synthesizer, build_abstraction, synthesi
 __all__ = [
     "SynthesisConfig", "Synthesizer", "synthesize", "build_abstraction",
     "SynthesisSession", "StepReport", "CHECKPOINT_VERSION",
-    "SearchStats", "SynthesisResult", "enumerate_queries",
+    "SearchStats", "SynthesisResult",
     "construct_skeletons", "rank_queries", "same_output",
     "StopSpec", "GroundTruthStop", "CallableStop", "as_stop_spec",
 ]

@@ -9,15 +9,15 @@ realize the demonstration.
 
 The loop exposes the counters the paper's evaluation reports: queries
 visited (partial + concrete), queries pruned, concrete consistency checks,
-and wall-clock time.  An optional ``stop_predicate`` reproduces the
-experiment mode ("the synthesizer runs until the correct query q_gt is
-found").
+and wall-clock time.  The loop itself is driven by
+:class:`~repro.synthesis.session.SynthesisSession`, whose optional stop
+predicate reproduces the experiment mode ("the synthesizer runs until the
+correct query q_gt is found").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from collections.abc import Callable
 
 from repro.abstraction.base import Abstraction
 from repro.engine.base import EvalEngine
@@ -298,40 +298,3 @@ def process_pop(query: ast.Query, env: ast.Env, demo: Demonstration,
         # most of them, and the batch runs between deadline checks.
         engine.consistency.demo_consistent_many(expansions, env, demo)
     return POP_EXPANDED, expansions
-
-
-def enumerate_queries(
-        env: ast.Env,
-        demo: Demonstration,
-        config: SynthesisConfig,
-        abstraction: Abstraction,
-        stop_predicate: Callable[[ast.Query], bool] | None = None,
-        engine: EvalEngine | None = None,
-) -> SynthesisResult:
-    """Run Algorithm 1 (one uninterrupted session).
-
-    Without ``stop_predicate``, the search stops after ``config.top_n``
-    consistent queries (the tool's interactive mode).  With it, the search
-    runs until a consistent query satisfies the predicate (the experiment
-    mode) or the budget expires.
-
-    All evaluation goes through ``engine`` (built from ``config.backend``
-    when not supplied); the abstraction is bound to the same engine so the
-    whole run shares one set of subtree caches.
-
-    The loop itself lives in :class:`~repro.synthesis.session.
-    SynthesisSession`; this wrapper drives a session to completion in one
-    unbounded ``step`` — the anchor of the determinism pledge (a stepped /
-    checkpointed / resumed session must match this, byte for byte).
-    Queries come back in discovery order, exactly as the classic loop
-    yielded them; recorded ``engine_stats`` cover this run's traffic only
-    (a snapshot: later runs on a shared engine must not make it drift).
-    """
-    from repro.synthesis.session import SynthesisSession
-
-    session = SynthesisSession(env, demo, config, abstraction=abstraction,
-                               stop=stop_predicate)
-    if engine is not None:
-        session.attach_engine(engine, abstraction)
-    session.step()
-    return session.result(ranked=False)

@@ -29,8 +29,10 @@ a small lifecycle API:
     the live lanes with their current stacks.  The result is byte-identical
     to the serial run — the determinism pledge survives preemption.
 ``cancel()``
-    Stop at the next pop; propagated to in-flight shard workers through
-    the executor's shared cancel token.
+    Stop at the next pop.  Cancellation is one round-limit token
+    (:meth:`set_cancel_token`): ``cancel()`` proposes round 0 to it, the
+    step loop polls it, and a sharded run hands the same token to every
+    shard worker.
 
 Engine accounting.  A session evaluates through whatever engine is
 attached (:meth:`attach_engine`) — its own fresh one by default, or a
@@ -125,8 +127,7 @@ class SynthesisSession:
         self._abstraction: Abstraction | None = None \
             if isinstance(abstraction, str) else abstraction
         self._stop_built = None
-        self._live_cancel = None                 # shard cancel token, if any
-        self._cancel_probe = None                # external cancel flag, if any
+        self._cancel_token = None                # shared round limit, if any
         self._pop_hook = None                    # per-pop callback, if any
 
     # ------------------------------------------------------------ lifecycle
@@ -246,20 +247,22 @@ class SynthesisSession:
     def cancel(self) -> None:
         """Stop at the next pop; in-flight shard workers stop with us."""
         self._cancelled = True
-        live = self._live_cancel
-        if live is not None:
-            live.propose(0)
+        token = self._cancel_token
+        if token is not None:
+            token.propose(0)
 
-    def set_cancel_probe(self, probe) -> None:
-        """Watch an external cancellation flag from inside the step loop.
+    def set_cancel_token(self, token) -> None:
+        """Share this session's cancellation through a round-limit token.
 
-        ``probe`` is a zero-argument callable polled once per pop; the
-        first truthy return behaves exactly like :meth:`cancel`.  This is
-        how a process-backed serving worker honors a cancel issued in the
-        service process mid-slice: the flag is a shared-memory value the
-        service flips, no queue round-trip involved.  Runtime-only state —
-        never checkpointed."""
-        self._cancel_probe = probe
+        ``token`` offers ``limit()`` and ``propose(round)`` (a
+        :class:`~repro.parallel.executor.CancelToken`); the session is
+        cancelled once ``limit() == 0``.  :meth:`cancel` proposes 0, the
+        step loop polls ``limit()`` once per pop, and a sharded run hands
+        the token to every shard.  A process-backed serving worker
+        installs its request's shared-memory slot here, so a cancel issued
+        in the service process lands mid-slice and in fanned-out shards
+        alike.  Runtime-only state — never checkpointed."""
+        self._cancel_token = token
 
     def set_pop_hook(self, hook) -> None:
         """Run a zero-argument callable once per pop inside ``step``.
@@ -275,7 +278,7 @@ class SynthesisSession:
         """The serial loop's pre-pop checks, in its exact order.
 
         A spent run-wide budget ends the search with ``timed_out``; a
-        cancel (direct or through the probe) stops it.  Needs no engine,
+        cancel (direct or through the token) stops it.  Needs no engine,
         so the sharded dispatch can run the same checks without building
         the runtime of a session the calling process never pops.
         """
@@ -285,9 +288,14 @@ class SynthesisSession:
             self.stats.timed_out = True
             self._finish()
             return True
-        probe = self._cancel_probe
-        if probe is not None and probe() and not self._cancelled:
-            self.cancel()
+        return self._poll_cancel()
+
+    def _poll_cancel(self) -> bool:
+        """Whether the session is cancelled, adopting a cancel another
+        holder of its token proposed."""
+        token = self._cancel_token
+        if token is not None and not self._cancelled and token.limit() == 0:
+            self._cancelled = True
         return self._cancelled
 
     def _finish(self) -> None:
@@ -367,11 +375,6 @@ class SynthesisSession:
         return Deadline(max(0.0, self.config.timeout_s - self._elapsed))
 
     # ------------------------------------------------------------- sharded
-    def _export_cancel(self, token) -> None:
-        self._live_cancel = token
-        if self._cancelled:             # cancel() raced the dispatch
-            token.propose(0)
-
     def _run_sharded(self) -> None:
         """Dispatch the session's live lanes onto shard workers.
 
@@ -383,7 +386,8 @@ class SynthesisSession:
         on one, so the calling process builds no engine, abstraction or
         stop predicate for it.  The live lanes then ship with their
         current stacks and the merge replays the continuation as if the
-        serial loop had never paused.
+        serial loop had never paused.  Every shard shares the session's
+        cancel token (a fresh one unless a host installed its own).
         """
         self.start()
         while not self.done and not self._worklist.at_round_boundary():
@@ -395,7 +399,13 @@ class SynthesisSession:
             self._raw_stats = SearchStats(**self.stats.as_dict())
             return
         from repro.parallel.coordinator import parallel_resume
+        from repro.parallel.executor import CancelToken
 
+        token = self._cancel_token
+        if token is None:
+            token = self._cancel_token = CancelToken()
+        if self._cancelled:             # cancel() raced the dispatch
+            token.propose(0)
         pre = SearchStats(**self.stats.as_dict())
         base = SynthesisResult(queries=self._queries, stats=self.stats)
         watch = Stopwatch()
@@ -403,10 +413,10 @@ class SynthesisSession:
             result = parallel_resume(
                 self._worklist.export_lanes(), self.env, self.demo,
                 self.config, self._remaining_config(), self.abstraction_spec,
-                self.stop_spec, base, cancel_export=self._export_cancel)
+                self.stop_spec, base, token)
         finally:
-            self._live_cancel = None
             self._elapsed += watch.elapsed()
+        self._poll_cancel()
         self._adopt_sharded(result,
                             SearchStats.merge(pre, result.raw_stats))
 
@@ -539,8 +549,7 @@ class SynthesisSession:
         self._engine_mark = EngineStats()
         self._abstraction = None
         self._stop_built = None
-        self._live_cancel = None
-        self._cancel_probe = None
+        self._cancel_token = None
         self._pop_hook = None
 
     def __repr__(self) -> str:

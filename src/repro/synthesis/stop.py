@@ -1,7 +1,7 @@
 """Declarative stop predicates for the search loop.
 
-``enumerate_queries`` accepts a plain callable, but a closure cannot cross a
-process boundary — and sharded search (:mod:`repro.parallel`) runs one
+A session accepts a plain callable, but a closure cannot cross a process
+boundary — and sharded search (:mod:`repro.parallel`) runs one
 worker per skeleton shard, each owning its own
 :class:`~repro.engine.base.EvalEngine`.  A :class:`StopSpec` separates *what
 to stop on* (picklable data) from *how to evaluate it* (built per worker

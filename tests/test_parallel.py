@@ -3,11 +3,12 @@
 Covers the mergeable stats (`SearchStats.merge` / `EngineStats.merge`), the
 shard planner over a seeded session's lanes (coverage, balance,
 determinism under permuted input), the declarative stop specs, the
-parallel knob validation, cancellation of a sharded run, the dead-worker
-re-dispatch path of the process executor, and pickled dispatch (no
-shared-memory segment, no manager process).
+parallel knob validation, the cancel token and cancellation of a sharded
+run, the dead-worker re-dispatch path of the process executor, and
+pickled dispatch (no shared-memory segment, no manager process).
 """
 
+import multiprocessing
 import os
 import random
 from dataclasses import dataclass
@@ -16,7 +17,13 @@ import pytest
 
 from repro.benchmarks import get_task
 from repro.engine import EngineStats, make_engine
-from repro.parallel import ShardPlanner, estimated_lane_cost, plan_lanes
+from repro.parallel import (
+    NO_LIMIT,
+    CancelToken,
+    ShardPlanner,
+    estimated_lane_cost,
+    plan_lanes,
+)
 from repro.synthesis import (
     CallableStop,
     GroundTruthStop,
@@ -245,6 +252,45 @@ class TestCancelledShardedRun:
         assert not serial.stats.timed_out
         assert not sharded.stats.timed_out
         assert sharded.workers == 4
+
+
+def _propose_in_child(token, round_no):
+    token.propose(round_no)
+
+
+class TestCancelToken:
+    """The one round-limit token behind every cancel: a session's, its
+    shards' and a pool request slot's."""
+
+    def test_propose_keeps_the_minimum(self):
+        token = CancelToken()
+        assert token.limit() == NO_LIMIT
+        token.propose(7)
+        token.propose(9)
+        assert token.limit() == 7
+        token.propose(3)
+        assert token.limit() == 3
+
+    def test_session_cancel_reads_as_zero(self):
+        task = get_task("fe01_total_sales_per_region")
+        session = SynthesisSession(task.tables, task.demonstration)
+        token = CancelToken()
+        session.set_cancel_token(token)
+        session.cancel()
+        assert token.limit() == 0
+        assert session.status == "cancelled"
+
+    def test_proposal_in_spawn_child_is_seen_by_parent(self):
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("spawn not supported here")
+        ctx = multiprocessing.get_context("spawn")
+        token = CancelToken(ctx.Array("q", [NO_LIMIT, NO_LIMIT]), slot=1)
+        proc = ctx.Process(target=_propose_in_child, args=(token, 5))
+        proc.start()
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        assert token.limit() == 5
+        assert CancelToken(token._limits, slot=0).limit() == NO_LIMIT
 
 
 class TestRunWideBudgets:

@@ -14,6 +14,7 @@ import multiprocessing
 import pytest
 
 from repro.benchmarks import all_tasks
+from repro.parallel import NO_LIMIT, CancelToken
 from repro.serve import (
     ServiceConfig,
     ServiceOverloaded,
@@ -40,6 +41,10 @@ HARD = TASKS["fh02_region_quarter_share"]
 #: A registry task whose multi-operator sub-plans repeat across
 #: candidates, so a warm engine's block cache matters.
 SHARED = TASKS["fe20_share_of_region_total"]
+#: Hard task whose sharded search to FANOUT_BUDGET pops takes seconds —
+#: long enough for a cancel or a request deadline to land mid-fan-out.
+FANOUT = TASKS["fh17_final_running_volume_rank"]
+FANOUT_BUDGET = 20_000
 
 VISITED_BUDGET = 400
 
@@ -314,6 +319,113 @@ def test_intra_request_fanout_is_byte_identical(backend):
             assert result.workers == 2      # the sharded path actually ran
             with pytest.raises(ValueError, match="out of range"):
                 svc.submit(EASY.tables, EASY.demonstration, worker=2)
+
+    asyncio.run(main())
+
+
+async def _fanned_out(svc, executor, timeout_s=None):
+    """Submit FANOUT with ``workers=2`` to a warm service and wait for its
+    first slice, after which an idle worker lets it fan out."""
+    await svc.submit(EASY.tables, EASY.demonstration, _config(EASY)).result()
+    config = _config(FANOUT, budget=FANOUT_BUDGET, workers=2,
+                     parallel_executor=executor)
+    handle = svc.submit(FANOUT.tables, FANOUT.demonstration, config,
+                        stop=GroundTruthStop(FANOUT.ground_truth),
+                        timeout_s=timeout_s)
+    while handle.session.stats.visited == 0:
+        await asyncio.sleep(0.005)
+    return handle
+
+
+@pytest.mark.parametrize("executor", ("process", "serial"))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cancel_reaches_fanned_out_shards(backend, executor):
+    """A cancel stops a request whose search fanned out to shard workers,
+    on either tier and executor: the session's cancel token is the one
+    its shards poll (the process tier's request slot included)."""
+    async def main():
+        svc_cfg = ServiceConfig(pool_size=2, slice_pops=50,
+                                pool_backend=backend)
+        async with SynthesisService(svc_cfg) as svc:
+            handle = await _fanned_out(svc, executor)
+            await asyncio.sleep(0.5)
+            handle.cancel()
+            result = await handle.result()
+            assert handle.status == "cancelled"
+            assert result.stats.visited < FANOUT_BUDGET
+            assert result.target is None
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fanned_out_request_honors_its_timeout(backend):
+    """The request deadline bounds a fanned-out run too: it ends
+    ``timed_out`` with a partial result, as a sliced request does."""
+    async def main():
+        svc_cfg = ServiceConfig(pool_size=2, slice_pops=50,
+                                pool_backend=backend)
+        async with SynthesisService(svc_cfg) as svc:
+            handle = await _fanned_out(svc, "process", timeout_s=1.0)
+            result = await handle.result()
+            assert handle.status == "timed_out"
+            assert result.stats.timed_out
+            assert result.stats.visited < FANOUT_BUDGET
+
+    asyncio.run(main())
+
+
+def test_recycled_pool_slot_reads_no_limit():
+    """A cancelled request leaves round 0 in its cancel-token slot; the
+    next request handed that slot starts live and runs to completion."""
+    config = _config(EASY)
+    reference = _reference(EASY, config)
+
+    async def main():
+        pool = WorkerPool(1, backend="processes")
+        backend = pool._backend
+        async with SynthesisService(ServiceConfig(pool_size=1,
+                                                  slice_pops=20),
+                                    pool=pool) as svc:
+            hard = svc.submit(HARD.tables, HARD.demonstration,
+                              _config(HARD, budget=10**6, top_n=10**6))
+            (slot,) = backend._slots.values()
+            hard.cancel()
+            await hard.result()
+            assert hard.status == "cancelled"
+            assert CancelToken(backend._cancel_limits, slot).limit() == 0
+            assert backend._free_slots[-1] == slot      # reused next
+            handle = svc.submit(EASY.tables, EASY.demonstration, config)
+            assert CancelToken(backend._cancel_limits, slot).limit() \
+                == NO_LIMIT
+            _assert_identical(reference, await handle.result())
+            assert handle.status == "done"
+        pool.close()
+
+    asyncio.run(main())
+
+
+def test_forked_pool_fans_out_to_spawned_shards(monkeypatch):
+    """A pool forked explicitly while shards are spawned: the request
+    slots' lock must still cross into the spawned shard processes."""
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" not in methods or "spawn" not in methods:
+        pytest.skip("needs both fork and spawn")
+    monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+    serial = _config(HARD, budget=300, top_n=10**6)
+    reference = _reference(HARD, serial)
+    fan = serial.replace(workers=2, parallel_executor="process")
+
+    async def main():
+        pool = WorkerPool(2, backend="processes", start_method="fork")
+        async with SynthesisService(ServiceConfig(pool_size=2,
+                                                  slice_pops=30),
+                                    pool=pool) as svc:
+            handle = svc.submit(HARD.tables, HARD.demonstration, fan)
+            result = await handle.result()
+            _assert_identical(reference, result)
+            assert result.workers == 2
+        pool.close()
 
     asyncio.run(main())
 

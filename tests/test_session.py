@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from repro.benchmarks import all_tasks
+from repro.parallel import NO_LIMIT, CancelToken
 from repro.synthesis import (
     GroundTruthStop,
     SynthesisConfig,
@@ -348,33 +349,42 @@ def test_stripped_checkpoint_resumes_with_supplied_env():
     _assert_identical(reference, session.run())
 
 
-def test_cancel_probe_polled_every_pop():
-    """The process tier cancels through ``set_cancel_probe`` — a flag
-    the step loop polls once per pop, so a cross-process cancel lands
-    mid-slice without waiting for the slice boundary."""
+class _CountingToken:
+    """A cancel token that reads cancelled (limit 0) from its 25th poll."""
+
+    def __init__(self):
+        self.polls = 0
+
+    def limit(self):
+        self.polls += 1
+        return 0 if self.polls >= 25 else NO_LIMIT
+
+    def propose(self, round_no):
+        pass
+
+
+def test_cancel_token_polled_every_pop():
+    """The process tier cancels through ``set_cancel_token`` — a round
+    limit the step loop polls once per pop, so a cross-process cancel
+    lands mid-slice without waiting for the slice boundary."""
     task = HARD_TASK
     session = _session(task, _config(task, budget=10**6, top_n=10**6))
-    flag = {"set": False}
-    polls = {"n": 0}
+    token = _CountingToken()
 
-    def probe():
-        polls["n"] += 1
-        if polls["n"] >= 25:
-            flag["set"] = True
-        return flag["set"]
-
-    session.set_cancel_probe(probe)
-    report = session.step()              # unbounded — the probe cuts it off
+    session.set_cancel_token(token)
+    report = session.step()              # unbounded — the token cuts it off
     assert session.status == "cancelled"
     assert report.done and report.status == "cancelled"
     assert session.stats.visited < 10**6
-    assert polls["n"] >= 25
+    assert token.polls >= 25
 
-    # The probe is session-local plumbing: it never crosses a pickle
+    # The token is session-local plumbing: it never crosses a pickle
     # boundary (a resumed copy polls nothing and runs to its budget).
     fresh = _session(task, _config(task, budget=60))
-    fresh.set_cancel_probe(lambda: True)
+    cancelled = CancelToken()
+    cancelled.propose(0)
+    fresh.set_cancel_token(cancelled)
     clone = SynthesisSession.resume(fresh.checkpoint())
-    assert clone._cancel_probe is None
+    assert clone._cancel_token is None
     clone.run()
     assert clone.status != "cancelled"

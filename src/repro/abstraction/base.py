@@ -9,6 +9,8 @@ hammer it.
 
 from __future__ import annotations
 
+import importlib
+
 from repro.lang.ast import Env, Query
 from repro.provenance.demo import Demonstration
 
@@ -56,20 +58,26 @@ class NoAbstraction(Abstraction):
         return True
 
 
+#: The techniques :func:`make_abstraction` builds: name -> (module, class).
+#: Imported on first use, since those modules import this one.
+ABSTRACTIONS = {
+    "provenance": ("repro.abstraction.provenance_abs",
+                   "ProvenanceAbstraction"),
+    "type": ("repro.abstraction.type_abs", "TypeAbstraction"),
+    "value": ("repro.abstraction.value_abs", "ValueAbstraction"),
+    "none": (__name__, "NoAbstraction"),
+}
+
+
+def check_abstraction(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is a known technique."""
+    if name not in ABSTRACTIONS:
+        raise ValueError(f"unknown abstraction {name!r}; "
+                         f"choose from {sorted(ABSTRACTIONS)}")
+
+
 def make_abstraction(name: str, **kwargs) -> Abstraction:
     """Factory: ``provenance`` | ``type`` | ``value`` | ``none``."""
-    from repro.abstraction.provenance_abs import ProvenanceAbstraction
-    from repro.abstraction.type_abs import TypeAbstraction
-    from repro.abstraction.value_abs import ValueAbstraction
-
-    factories = {
-        "provenance": ProvenanceAbstraction,
-        "type": TypeAbstraction,
-        "value": ValueAbstraction,
-        "none": NoAbstraction,
-    }
-    try:
-        return factories[name](**kwargs)
-    except KeyError:
-        raise ValueError(
-            f"unknown abstraction {name!r}; choose from {sorted(factories)}") from None
+    check_abstraction(name)
+    module, cls = ABSTRACTIONS[name]
+    return getattr(importlib.import_module(module), cls)(**kwargs)

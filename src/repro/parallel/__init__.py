@@ -4,17 +4,18 @@ Every sharded run starts from a :class:`~repro.synthesis.session.
 SynthesisSession` that seeded its lanes in the calling process (skeleton
 construction and the shape precheck) and, when it was already stepped,
 reached a worklist round boundary.  The session's live lanes are dealt to
-shards by a :class:`ShardPlanner` (:func:`plan_lanes`), each shard is
-searched by a worker owning its own evaluation engine
-(:mod:`repro.parallel.worker`), and the per-lane event traces are replayed
-onto the session's state in the exact serial search order
+shards by a :class:`ShardPlanner` (:func:`plan_lanes`).  Each shard is a
+session of its own over the lanes it was dealt (:mod:`repro.parallel.
+worker`): it runs the same ``step`` loop on its own evaluation engine and
+records each lane's pop outcomes.  The per-lane traces are replayed onto
+the dispatching session's state in the exact serial search order
 (:mod:`repro.parallel.merge`) — ranked output and search counters are
 byte-identical to the serial run regardless of worker count, shard plan
 or completion order.
 
 Layering: this package sits beside ``repro.experiments``, *above*
-``repro.synthesis`` — it orchestrates the serial building blocks
-(hole domains, consistency checks) and never reaches around them.
+``repro.synthesis`` — it deals, runs and merges sessions and never
+reaches around the serial loop.
 
 ::
 
@@ -24,8 +25,11 @@ Layering: this package sits beside ``repro.experiments``, *above*
                      │ shard 0        shard 1      …    shard N │
                      └────┬──────────────┬──────────────────┬───┘
                           ▼              ▼                  ▼
-                     worker 0        worker 1     …     worker N
-                    (own engine)    (own engine)       (own engine)
+                   shard session   shard session  …   shard session
+                    .step() on      .step() on         .step() on
+                    own engine      own engine         own engine
+                          │              │                  │
+                          ├──── one round-limit CancelToken ┤
                           │              │                  │
                           └── per-lane event traces + stats ┘
                                          ▼

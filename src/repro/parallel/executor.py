@@ -1,8 +1,9 @@
 """Run shard workers: one OS process per shard, or in-process.
 
-The two vehicles share the worker function and the cancel-token protocol,
-so they are semantically interchangeable — ``serial`` is the reference the
-process executor must match (and the differential tests hold it to it):
+The two vehicles run the same shard function (a shard session's ``step``)
+under the same cancel token, so they are semantically interchangeable —
+``serial`` is the reference the process executor must match (and the
+differential tests hold it to it):
 
 * ``process`` — true parallelism; workers are forked where available
   (payloads inherited, no pickling) and spawned otherwise (payloads,
@@ -14,14 +15,14 @@ process executor must match (and the differential tests hold it to it):
 ``REPRO_START_METHOD`` forces the process start method (the CI spawn job).
 
 Cancellation is a single shared *round limit*, a :class:`CancelToken`:
-when a worker's stop predicate fires in round ``r`` it proposes ``r``; the
-limit is the minimum of all proposals and every worker stops once it has
-completed that round — the earliest point at which the merge provably
-needs no further events.  A cancel is a proposal of round 0.  The token is
-the dispatching session's own (``SynthesisSession.set_cancel_token``), so
-``cancel()`` — from the caller's thread, or from the service process
-through a pool worker's request slot — reaches every shard of either
-executor.
+when a shard stops on its stop predicate or on ``top_n`` in round ``r`` it
+proposes ``r``; the limit is the minimum of all proposals and every shard
+session stops before a pop of a later round — the earliest point at
+which the merge provably needs no further events.  A cancel is a proposal
+of round 0.  The token is the dispatching session's own
+(``SynthesisSession.set_cancel_token``), so ``cancel()`` — from the
+caller's thread, or from the service process through a pool worker's
+request slot — reaches every shard of either executor.
 """
 
 from __future__ import annotations

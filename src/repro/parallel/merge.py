@@ -11,9 +11,10 @@ serial visit order is precisely::
     round 2: lane 0, lane 1, ...           (drained lanes drop out)
     ...
 
-Each worker records its lanes' per-pop outcomes (events) in exactly that
-lane-local order.  Replaying rounds over the union of all traces — lanes
-ascending within a round, applying the serial loop's stopping rules
+Each worker records its lanes' per-pop outcomes (events: ``process_pop``'s
+``POP_*`` names, a consistent query as ``(query, stop_hit)``) in exactly
+that lane-local order.  Replaying rounds over the union of all traces —
+lanes ascending within a round, applying the serial loop's stopping rules
 (``top_n`` / stop-predicate hit / visited budget) event by event — thus
 reconstructs the serial run's visit sequence, consistent-query discovery
 order and counters *byte-for-byte*, no matter how many shards produced the
@@ -33,14 +34,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.synthesis.config import SynthesisConfig
-from repro.synthesis.enumerator import SynthesisResult
-from repro.parallel.worker import (
-    EV_EXPANDED,
-    EV_INCONSISTENT,
-    EV_PRUNED,
-    LaneTrace,
-    ShardOutcome,
+from repro.synthesis.enumerator import (
+    POP_EXPANDED,
+    POP_INCONSISTENT,
+    POP_PRUNED,
+    SynthesisResult,
 )
+from repro.parallel.worker import LaneTrace, ShardOutcome
 
 
 def replay_merge(outcomes: Sequence[ShardOutcome], config: SynthesisConfig,
@@ -105,11 +105,11 @@ def replay_merge(outcomes: Sequence[ShardOutcome], config: SynthesisConfig,
                 if not has_stop and stats.consistent_found >= config.top_n:
                     stop = True
                     break
-            elif event == EV_PRUNED:
+            elif event == POP_PRUNED:
                 stats.pruned += 1
-            elif event == EV_EXPANDED:
+            elif event == POP_EXPANDED:
                 stats.expanded += 1
-            elif event == EV_INCONSISTENT:
+            elif event == POP_INCONSISTENT:
                 stats.concrete_checked += 1
             else:                                   # pragma: no cover
                 raise ValueError(f"unknown trace event {event!r}")

@@ -151,6 +151,15 @@ class ServiceConfig:
             raise ValueError("max_retries must be >= 0")
         if self.slice_timeout_s is not None and self.slice_timeout_s <= 0:
             raise ValueError("slice_timeout_s must be positive or None")
+        if self.supervise_interval_s is not None \
+                and self.supervise_interval_s <= 0:
+            raise ValueError("supervise_interval_s must be positive or None")
+        _check_timeout("default_timeout_s", self.default_timeout_s)
+
+
+def _check_timeout(name: str, value: float | None) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{name} must be >= 0 or None")
 
 
 class _Request:
@@ -319,6 +328,7 @@ class SynthesisService:
                 f"{len(self._live)} live requests (bound "
                 f"{self.config.max_requests}); retry later",
                 retry_after_s=round(min(5.0, 0.05 + 0.02 * backlog), 3))
+        _check_timeout("timeout_s", timeout_s)
         cfg = config or SynthesisConfig()
         session = SynthesisSession(tables, demo, cfg, abstraction=technique,
                                    stop=as_stop_spec(stop))

@@ -48,6 +48,17 @@ class _Worklist:
         self._rr = 0
         self._count = 0
         self._next_lane = 0
+        self.round = 0              # round of the latest pop (0 before any)
+
+    @classmethod
+    def from_lanes(cls, lanes) -> "_Worklist":
+        """A worklist over :meth:`export_lanes` pairs (a shard's lanes)."""
+        worklist = cls()
+        for lane_id, stack in lanes:
+            worklist._stacks[lane_id] = list(stack)
+            worklist._order.append(lane_id)
+            worklist._count += len(stack)
+        return worklist
 
     def add_lane(self, query: ast.Query) -> int:
         """Seed a new lane (one per skeleton); returns the lane id.
@@ -85,6 +96,8 @@ class _Worklist:
                 self._count = 0
                 raise IndexError("pop from an empty worklist")
             idx %= len(self._order)
+        if idx == 0:
+            self.round += 1
         lane_id = self._order[idx]
         query = self._stacks[lane_id].pop()
         self._count -= 1
@@ -94,54 +107,45 @@ class _Worklist:
     def __bool__(self) -> bool:
         return self._count > 0
 
-    # ---------------------------------------------- checkpoint/resume hooks
-    # The methods below exist for :class:`~repro.synthesis.session.
-    # SynthesisSession`: a checkpointed search must be serializable and a
-    # preempted one re-dispatchable onto sharded workers, which requires
-    # aligning the round-robin cursor to a *round boundary* (the worker /
-    # replay-merge machinery is round-based; see repro.parallel.merge).
+    def next_round(self) -> int:
+        """The round the next pop belongs to (1 before the first pop).
 
-    def purge_drained(self) -> None:
-        """Eagerly drop drained lanes.
-
-        The serial ``pop`` drops a drained lane lazily, on next encounter;
-        dropping it early is invisible to the pop sequence (a dead lane
-        yields nothing either way), but the cursor must be re-based onto
-        the surviving lanes so the next pop lands where it would have.
+        ``pop`` begins a new round whenever its cursor wraps; drained
+        lanes at or after the cursor are skipped, so they wrap it too.
         """
-        kept: list[int] = []
-        removed_before = 0
-        for pos, lane in enumerate(self._order):
-            if self._stacks[lane]:
-                kept.append(lane)
-            else:
-                del self._stacks[lane]
-                if pos < self._rr:
-                    removed_before += 1
-        self._order = kept
-        self._rr = (self._rr - removed_before) % len(kept) if kept else 0
+        stacks, order = self._stacks, self._order
+        if self._rr and any(stacks[order[i]]
+                            for i in range(self._rr, len(order))):
+            return self.round
+        return self.round + 1
+
+    def drained(self, lane_id: int) -> bool:
+        """Whether lane ``lane_id`` has nothing left to pop."""
+        return not self._stacks.get(lane_id)
+
+    # The two methods below let a partially stepped session dispatch its
+    # remaining lanes to shards (see repro.parallel.merge).
 
     def at_round_boundary(self) -> bool:
-        """True when the next pop starts a fresh round-robin cycle.
+        """True when the rest of the visit order is whole rounds.
 
-        From a round boundary, the remaining serial visit order is exactly
-        "every live lane once per round, lanes in seed order" — the
-        premise the sharded workers' round-explicit loop and the replay
-        merge are built on, and therefore the only state a partially
-        consumed worklist may be dispatched to shard workers from.
+        That is "every live lane once per round, lanes in seed order" —
+        the premise of the replay merge, and therefore the only state a
+        partially consumed worklist may be dispatched to shards from.  It
+        holds when no live lane sits before the cursor (this cycle only
+        touched lanes that have drained since) or none at or after it.
         """
-        self.purge_drained()
-        return self._rr == 0
+        live = [bool(self._stacks[lane]) for lane in self._order]
+        return not any(live[:self._rr]) or not any(live[self._rr:])
 
     def export_lanes(self) -> list[tuple[int, list[ast.Query]]]:
         """Snapshot the live lanes as ``(lane_id, stack)`` pairs, seed order.
 
-        Stacks are copies: the worklist keeps working after a checkpoint,
-        and an exported payload crossing a process boundary must not alias
-        live state.
+        Stacks are copies: an exported payload crossing a process boundary
+        must not alias live state.
         """
-        self.purge_drained()
-        return [(lane, list(self._stacks[lane])) for lane in self._order]
+        return [(lane, list(self._stacks[lane])) for lane in self._order
+                if self._stacks[lane]]
 
 
 @dataclass
@@ -216,11 +220,12 @@ class SynthesisResult:
         return self.target is not None
 
 
-# Per-pop outcomes of :func:`process_pop` — shared by the serial loop below
-# and the shard workers (:mod:`repro.parallel.worker`), so Algorithm 1's pop
-# semantics (classification order, counter increments, the ≺ check's
-# exception set, hole-domain order) live in exactly one place and the
-# sharded search cannot drift from the serial one.
+# Per-pop outcomes of :func:`process_pop`, whose one caller is
+# ``SynthesisSession.step`` — serial runs and shard workers alike run that
+# loop, so Algorithm 1's pop semantics (classification order, counter
+# increments, the ≺ check's exception set, hole-domain order) live in
+# exactly one place.  A shard records them per lane as its trace events,
+# which the replay merge (:mod:`repro.parallel.merge`) reads back.
 POP_PRUNED = "pruned"              # rejected by the abstraction
 POP_EXPANDED = "expanded"          # partial; holes branched
 POP_INCONSISTENT = "inconsistent"  # concrete; failed the ≺ check

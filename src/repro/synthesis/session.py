@@ -28,11 +28,14 @@ a small lifecycle API:
     precondition; a freshly seeded worklist already sits on one) and ships
     the live lanes with their current stacks.  The result is byte-identical
     to the serial run — the determinism pledge survives preemption.
+``start_shard(lanes, token)``
+    Seed a shard of a sharded run: a session over the lanes it was dealt,
+    running this same ``step`` loop and recording each lane's pop outcomes.
 ``cancel()``
     Stop at the next pop.  Cancellation is one round-limit token
-    (:meth:`set_cancel_token`): ``cancel()`` proposes round 0 to it, the
-    step loop polls it, and a sharded run hands the same token to every
-    shard worker.
+    (:meth:`set_cancel_token`) that every shard shares: the step loop
+    stops before a pop of a round past its limit.  ``cancel()`` proposes
+    round 0; a shard that stops on a hit or ``top_n`` proposes its round.
 
 Engine accounting.  A session evaluates through whatever engine is
 attached (:meth:`attach_engine`) — its own fresh one by default, or a
@@ -53,7 +56,7 @@ from collections.abc import Sequence
 
 from dataclasses import dataclass, field
 
-from repro.abstraction.base import Abstraction
+from repro.abstraction.base import Abstraction, check_abstraction
 from repro.engine.base import EngineStats, EvalEngine, make_engine
 from repro.lang import ast
 from repro.provenance.demo import Demonstration
@@ -75,7 +78,7 @@ from repro.util.timer import Deadline, Stopwatch
 
 #: Checkpoint format version; bumped whenever the pickled state layout
 #: changes so a stale blob fails loudly instead of resuming garbage.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Session lifecycle phases.
 NEW = "new"          # constructed; lanes not seeded yet
@@ -101,6 +104,8 @@ class SynthesisSession:
                  config: SynthesisConfig | None = None,
                  abstraction: str | Abstraction = "provenance",
                  stop: StopSpec | None = None) -> None:
+        if isinstance(abstraction, str):
+            check_abstraction(abstraction)
         self.env = tables if isinstance(tables, ast.Env) \
             else ast.Env(tuple(tables))
         self.demo = demo
@@ -129,6 +134,7 @@ class SynthesisSession:
         self._stop_built = None
         self._cancel_token = None                # shared round limit, if any
         self._pop_hook = None                    # per-pop callback, if any
+        self._lane_events: dict | None = None    # per-lane trace, shards only
 
     # ------------------------------------------------------------ lifecycle
     @property
@@ -156,6 +162,27 @@ class SynthesisSession:
             self._worklist = None
         self._elapsed += watch.elapsed()
 
+    def start_shard(self, lanes, token) -> None:
+        """Seed the ``(lane_id, stack)`` pairs a sharded run dealt here.
+
+        The dealing session admitted and counted the lanes' skeletons, so
+        counters and rounds start from zero.  ``token`` is the run's shared
+        round limit; the session records each lane's pop outcomes
+        (:meth:`lane_events`) and proposes its round on a hit or ``top_n``.
+        """
+        self._worklist = _Worklist.from_lanes(lanes)
+        self._lane_events = {lane_id: [] for lane_id, _ in lanes}
+        self._cancel_token = token
+        self._phase = ACTIVE if self._worklist else DONE
+
+    def lane_events(self) -> list[tuple[int, list, bool]]:
+        """A shard's ``(lane_id, events, drained)`` per lane, lane order:
+        the lane's ``process_pop`` outcomes, a consistent query recorded
+        as ``(query, stop_hit)``, and whether the lane has drained."""
+        worklist = self._worklist
+        return [(lane_id, events, worklist.drained(lane_id))
+                for lane_id, events in self._lane_events.items()]
+
     def step(self, max_pops: int | None = None,
              timeout_s: float | None = None) -> StepReport:
         """Advance the serial loop by at most ``max_pops`` pops.
@@ -182,6 +209,7 @@ class SynthesisSession:
         stop = self._stop_built
         worklist, stats = self._worklist, self.stats
         hook = self._pop_hook
+        events = self._lane_events
         new_queries: list[ast.Query] = []
         pops = 0
         try:
@@ -204,16 +232,24 @@ class SynthesisSession:
                 if outcome is POP_CONSISTENT:
                     self._queries.append(query)
                     new_queries.append(query)
-                    if stop is not None and stop(query):
+                    hit = stop is not None and stop(query)
+                    if events is not None:
+                        events[lane_id].append((query, hit))
+                    if hit:
                         self._target = query
                         self._target_rank = len(self._queries)
+                    if hit or (stop is None
+                               and stats.consistent_found >= cfg.top_n):
+                        if events is not None:
+                            # The global cutoff lands at or before this
+                            # shard's, so siblings stop after this round.
+                            self._cancel_token.propose(worklist.round)
                         self._finish()
                         break
-                    if stop is None and \
-                            stats.consistent_found >= cfg.top_n:
-                        self._finish()
-                        break
-                elif outcome is POP_EXPANDED:
+                    continue
+                if events is not None:
+                    events[lane_id].append(outcome)
+                if outcome is POP_EXPANDED:
                     # Reversed for LIFO lanes: explored in domain order.
                     for expansion in reversed(expansions):
                         worklist.push(expansion, lane_id)
@@ -291,16 +327,29 @@ class SynthesisSession:
         return self._poll_cancel()
 
     def _poll_cancel(self) -> bool:
-        """Whether the session is cancelled, adopting a cancel another
-        holder of its token proposed."""
+        """Whether to stop before the next pop: the token's limit lies
+        before the next pop's round.
+
+        A limit of 0 is a cancel, adopted from any holder of the token.  A
+        positive limit is a sibling shard's stop round: the merge consumes
+        nothing past it, so this shard's search ends there.
+        """
         token = self._cancel_token
-        if token is not None and not self._cancelled and token.limit() == 0:
+        if self._cancelled or token is None:
+            return self._cancelled
+        limit = token.limit()
+        if limit >= self._worklist.next_round():
+            return False
+        if limit == 0:
             self._cancelled = True
-        return self._cancelled
+        else:
+            self._finish()
+        return True
 
     def _finish(self) -> None:
         self._phase = DONE
-        self._worklist = None
+        if self._lane_events is None:   # a shard's lanes outlive its search
+            self._worklist = None
 
     # ------------------------------------------------------------- results
     def result(self, ranked: bool = True) -> SynthesisResult:
@@ -551,6 +600,7 @@ class SynthesisSession:
         self._stop_built = None
         self._cancel_token = None
         self._pop_hook = None
+        self._lane_events = None
 
     def __repr__(self) -> str:
         return (f"SynthesisSession(status={self.status!r}, "

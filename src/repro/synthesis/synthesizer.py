@@ -38,9 +38,9 @@ def build_abstraction(name_or_abs: str | Abstraction,
                       config: SynthesisConfig) -> Abstraction:
     """Materialize an abstraction from its name (or pass one through).
 
-    Shared by the serial synthesizer and the parallel workers, which each
-    rebuild the technique from its name so every worker owns an independent
-    instance bound to its own engine.
+    Shared by the synthesizer and every session — shard sessions included,
+    each rebuilding the technique from its name so every worker owns an
+    independent instance bound to its own engine.
     """
     if isinstance(name_or_abs, Abstraction):
         return name_or_abs

@@ -23,6 +23,7 @@ from repro.parallel import (
     ShardPlanner,
     estimated_lane_cost,
     plan_lanes,
+    run_shard,
 )
 from repro.synthesis import (
     CallableStop,
@@ -291,6 +292,78 @@ class TestCancelToken:
         assert proc.exitcode == 0
         assert token.limit() == 5
         assert CancelToken(token._limits, slot=0).limit() == NO_LIMIT
+
+
+def _dealt_shards(task, workers, budget):
+    """A freshly seeded session's lanes dealt as a ``workers``-way run
+    deals them, with the budget that seeding leaves the shards."""
+    config = task.config.replace(timeout_s=None, max_visited=budget)
+    session = SynthesisSession(task.tables, task.demonstration, config)
+    session.start()
+    _, payloads = plan_lanes(session._worklist.export_lanes(), workers)
+    remaining = config.replace(max_visited=budget - session.stats.visited)
+    return session.stats.visited, payloads, remaining
+
+
+def _run_alone(task, shard_id, payload, config, stop=None, token=None):
+    return run_shard(shard_id, payload, task.env, task.demonstration, config,
+                     "provenance", stop, token or CancelToken())
+
+
+class TestSiblingRoundCut:
+    def test_shard_stops_before_rounds_past_the_limit(self):
+        """A shard session whose token already holds limit ``r`` records
+        exactly ``min(len, r)`` events per lane: the prefix of its uncut
+        search."""
+        task = get_task("fe20_share_of_region_total")
+        _, payloads, config = _dealt_shards(task, 2, budget=600)
+        config = config.replace(top_n=10**6)
+        full = _run_alone(task, 0, payloads[0], config)
+        limit = 3
+        token = CancelToken()
+        token.propose(limit)
+        cut = _run_alone(task, 0, payloads[0], config, token=token)
+        assert max(len(t.events) for t in full.traces) > limit
+        for whole, prefix in zip(full.traces, cut.traces):
+            assert prefix.lane == whole.lane
+            assert len(prefix.events) == min(len(whole.events), limit)
+            assert prefix.events == whole.events[:len(prefix.events)]
+        assert cut.stats.visited == sum(len(t.events) for t in cut.traces)
+        assert not cut.stats.timed_out
+        assert token.limit() == limit
+
+
+#: The tasks, shard count and budget of the wall-clock speedup gate in
+#: benchmarks/test_parallel_speed.py.
+SPEEDUP_TASKS = ("fh01_cumulative_signup_share",
+                 "fh04_cumulative_share_of_region",
+                 "fh10_conversion_deviation_rank",
+                 "fh16_early_rainfall_share")
+
+
+@pytest.mark.parametrize("name", SPEEDUP_TASKS)
+def test_cross_shard_cancel_shortens_the_critical_path(name):
+    """What the wall-clock speedup gate measures, counted instead of
+    timed: once the earliest hit round ``r*`` is known, no shard needs to
+    pop past it, so the seeding pops plus the largest shard's pops up to
+    ``r*`` must undercut the serial run's visited count."""
+    task = get_task(name)
+    budget, workers = 4000, 4
+    stop = GroundTruthStop(task.ground_truth)
+    serial = Synthesizer("provenance", task.config.replace(
+        timeout_s=None, max_visited=budget)).run(
+        task.tables, task.demonstration, stop_predicate=stop)
+    assert serial.target is not None
+    seeding, payloads, config = _dealt_shards(task, workers, budget)
+    traces = [_run_alone(task, i, payload, config, stop).traces
+              for i, payload in enumerate(payloads)]
+    hit_rounds = [k + 1 for shard in traces for trace in shard
+                  for k, event in enumerate(trace.events)
+                  if isinstance(event, tuple) and event[1]]
+    r_star = min(hit_rounds)
+    critical = max(sum(min(len(trace.events), r_star) for trace in shard)
+                   for shard in traces)
+    assert seeding + critical < serial.stats.visited
 
 
 class TestRunWideBudgets:

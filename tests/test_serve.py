@@ -178,6 +178,46 @@ def test_per_request_timeout_reports_timed_out():
     asyncio.run(main())
 
 
+def test_submit_rejects_bad_technique_and_timeout():
+    """Bad request input fails at ``submit`` with a typed error, instead
+    of being admitted and failing (or timing out) on a worker."""
+    async def main():
+        async with SynthesisService(ServiceConfig(pool_size=1)) as svc:
+            config = _config(EASY)
+            with pytest.raises(ValueError, match="unknown abstraction"):
+                svc.submit(EASY.tables, EASY.demonstration, config,
+                           technique="bogus")
+            with pytest.raises(ValueError, match="timeout_s"):
+                svc.submit(EASY.tables, EASY.demonstration, config,
+                           timeout_s=-1)
+            assert not svc._live
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("default_timeout_s", -5), ("supervise_interval_s", 0),
+    ("supervise_interval_s", -0.1)])
+def test_service_config_rejects_bad_budgets(field, value):
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig(**{field: value})
+
+
+def test_service_config_none_budgets_keep_their_meaning():
+    """``None`` still means no default request budget and no supervisor."""
+    async def main():
+        svc_cfg = ServiceConfig(pool_size=1, default_timeout_s=None,
+                                supervise_interval_s=None)
+        async with SynthesisService(svc_cfg) as svc:
+            assert svc.pool._supervisor is None
+            handle = svc.submit(EASY.tables, EASY.demonstration,
+                                _config(EASY))
+            await handle.result()
+            assert handle.status == "done"
+
+    asyncio.run(main())
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_cancel_mid_flight_returns_partial_result(backend):
     """Cancellation reaches a running slice on either tier — directly on

@@ -324,6 +324,18 @@ def test_workers_require_named_abstraction():
         session.run()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unknown_technique_rejected_at_construction(workers):
+    """A bad technique name fails fast with a typed error, before any
+    seeding or shard dispatch."""
+    task = FOCUS_TASKS[0]
+    config = _config(task).replace(workers=workers,
+                                   parallel_executor="serial")
+    with pytest.raises(ValueError, match="unknown abstraction 'bogus'"):
+        SynthesisSession(task.tables, task.demonstration, config,
+                         abstraction="bogus")
+
+
 def test_stripped_checkpoint_resumes_with_supplied_env():
     """``checkpoint(strip_env=True)`` is the serving tier's replay-point
     format: the blob carries search state only, and the service, which

@@ -11,7 +11,7 @@ number of queries a technique actually visits.
 from __future__ import annotations
 
 from repro.lang.ast import Env
-from repro.lang.holes import fill, first_hole
+from repro.lang.holes import fill, holes_of
 from repro.provenance.demo import Demonstration
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.domains import hole_domain
@@ -38,10 +38,14 @@ def count_search_space(env: Env, config: SynthesisConfig,
         if deadline.expired() or (cap is not None and total >= cap):
             return total, False
         query = stack.pop()
-        position = first_hole(query)
-        if position is None:
+        holes = holes_of(query)
+        if not holes:
             total += 1
             continue
-        for value in hole_domain(query, position, env, config, demo, engine):
-            stack.append(fill(query, position, value))
+        domain = hole_domain(query, holes[0], env, config, demo, engine)
+        if len(holes) == 1:     # a family of concrete queries: count it
+            total += len(domain)
+            continue
+        for value in domain:
+            stack.append(fill(query, holes[0], value))
     return total, True

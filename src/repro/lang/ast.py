@@ -15,7 +15,7 @@ paper uses indexes too, 1-based).  ``Env`` carries the named input tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Iterable
 
 from repro.errors import EvaluationError
@@ -76,7 +76,26 @@ class Query:
         return self
 
     def with_params(self, **kwargs) -> "Query":
-        return replace(self, **kwargs)  # type: ignore[arg-type]
+        unknown = kwargs.keys() - self.__dataclass_fields__.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no field "
+                            f"{', '.join(sorted(unknown))}")
+        return self._derive(kwargs)
+
+    def _derive(self, changes: dict) -> "Query":
+        """A copy of this node with ``changes`` applied to its fields.
+
+        What ``dataclasses.replace`` computes, without re-running the
+        generated ``__init__``: one ``__dict__`` copy.  The parent's cached
+        ``_hash`` is dropped, since the new node hashes differently.  Nodes
+        define no ``__post_init__``, so nothing else is skipped.
+        """
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        state.update(changes)
+        node = object.__new__(type(self))
+        node.__dict__.update(state)
+        return node
 
     def operator_name(self) -> str:
         return type(self).__name__.lower()
@@ -113,7 +132,7 @@ class Filter(Query):
 
     def with_children(self, children: tuple[Query, ...]) -> "Filter":
         (child,) = children
-        return replace(self, child=child)
+        return self._derive({"child": child})
 
 
 @dataclass(frozen=True)
@@ -137,7 +156,7 @@ class Join(Query):
 
     def with_children(self, children: tuple[Query, ...]) -> "Join":
         left, right = children
-        return replace(self, left=left, right=right)
+        return self._derive({"left": left, "right": right})
 
 
 @dataclass(frozen=True)
@@ -156,7 +175,7 @@ class LeftJoin(Query):
 
     def with_children(self, children: tuple[Query, ...]) -> "LeftJoin":
         left, right = children
-        return replace(self, left=left, right=right)
+        return self._derive({"left": left, "right": right})
 
 
 @dataclass(frozen=True)
@@ -174,7 +193,7 @@ class Proj(Query):
 
     def with_children(self, children: tuple[Query, ...]) -> "Proj":
         (child,) = children
-        return replace(self, child=child)
+        return self._derive({"child": child})
 
 
 @dataclass(frozen=True)
@@ -193,7 +212,7 @@ class Sort(Query):
 
     def with_children(self, children: tuple[Query, ...]) -> "Sort":
         (child,) = children
-        return replace(self, child=child)
+        return self._derive({"child": child})
 
 
 @dataclass(frozen=True)
@@ -220,7 +239,7 @@ class Group(Query):
 
     def with_children(self, children: tuple[Query, ...]) -> "Group":
         (child,) = children
-        return replace(self, child=child)
+        return self._derive({"child": child})
 
 
 @dataclass(frozen=True)
@@ -241,7 +260,7 @@ class Partition(Query):
 
     def with_children(self, children: tuple[Query, ...]) -> "Partition":
         (child,) = children
-        return replace(self, child=child)
+        return self._derive({"child": child})
 
 
 @dataclass(frozen=True)
@@ -261,7 +280,7 @@ class Arithmetic(Query):
 
     def with_children(self, children: tuple[Query, ...]) -> "Arithmetic":
         (child,) = children
-        return replace(self, child=child)
+        return self._derive({"child": child})
 
 
 def install_cached_hash(cls) -> None:

@@ -116,6 +116,12 @@ _CANCEL_SLOTS = 256
 _ENV_MEMO_SIZE = 64
 
 
+def check_positive(name: str, value: float | None) -> None:
+    """Reject a non-positive interval; ``None`` means "off"."""
+    if value is not None and value <= 0:
+        raise ValueError(f"{name} must be positive or None")
+
+
 def resolve_pool_backend(backend: str | None = None, size: int = 1) -> str:
     """Resolve a backend request to ``"threads"`` or ``"processes"``.
 
@@ -874,6 +880,7 @@ class WorkerPool:
                  ) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
+        check_positive("supervise_interval_s", supervise_interval_s)
         self.backend_name = resolve_pool_backend(backend, size)
         self.faults = faults if faults is not None else plan_from_env()
         self._size = size
@@ -898,7 +905,7 @@ class WorkerPool:
                 size, self._on_outcome, start_method, faults=self.faults)
         self._stop_supervisor = threading.Event()
         self._supervisor: threading.Thread | None = None
-        if supervise_interval_s is not None and supervise_interval_s > 0:
+        if supervise_interval_s is not None:
             self._supervisor = threading.Thread(
                 target=self._supervise, args=(supervise_interval_s,),
                 name="repro-serve-supervisor", daemon=True)

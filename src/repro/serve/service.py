@@ -83,6 +83,7 @@ from repro.serve.pool import (
     WORKER_DIED,
     SliceOutcome,
     WorkerPool,
+    check_positive,
     warm_key,
 )
 from repro.synthesis.config import SynthesisConfig
@@ -149,11 +150,8 @@ class ServiceConfig:
             raise ValueError("slice_pops must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.slice_timeout_s is not None and self.slice_timeout_s <= 0:
-            raise ValueError("slice_timeout_s must be positive or None")
-        if self.supervise_interval_s is not None \
-                and self.supervise_interval_s <= 0:
-            raise ValueError("supervise_interval_s must be positive or None")
+        check_positive("slice_timeout_s", self.slice_timeout_s)
+        check_positive("supervise_interval_s", self.supervise_interval_s)
         _check_timeout("default_timeout_s", self.default_timeout_s)
 
 

@@ -5,7 +5,9 @@ lanes and depth-first within each (see :class:`_Worklist`): concrete
 queries are checked against the demonstration under the
 provenance-tracking semantics (``E ≺ [[q(T̄)]]★``); partial queries are
 screened by the pluggable abstraction and pruned when no instantiation can
-realize the demonstration.
+realize the demonstration.  An expanded partial query pushes its siblings
+as one lazy family entry (:class:`_Family`), and each sibling is filled
+only when it is popped.
 
 The loop exposes the counters the paper's evaluation reports: queries
 visited (partial + concrete), queries pruned, concrete consistency checks,
@@ -22,12 +24,44 @@ from dataclasses import dataclass, field, fields
 from repro.abstraction.base import Abstraction
 from repro.engine.base import EvalEngine
 from repro.lang import ast
-from repro.lang.holes import fill, first_hole, is_concrete
+from repro.lang.holes import HolePosition, fill, holes_of, is_concrete
 from repro.lang.size import operator_count
 from repro.provenance.demo import Demonstration
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.domains import hole_domain
-from repro.synthesis.shape import shape_feasible
+
+
+class _Family:
+    """The siblings of one expansion, filled one pop at a time.
+
+    Stands on its lane's stack for ``fill(parent, position, v)`` for every
+    ``v`` in ``domain[cursor:]``, popped in domain order — the order the
+    eager push of every sibling, reversed, gave.  A family is never empty
+    on a stack: the worklist drops it when its last sibling is popped.
+    """
+
+    __slots__ = ("parent", "position", "domain", "cursor")
+
+    def __init__(self, parent: ast.Query, position: HolePosition,
+                 domain: tuple) -> None:
+        self.parent = parent
+        self.position = position
+        self.domain = domain
+        self.cursor = 0
+
+    def __len__(self) -> int:
+        return len(self.domain) - self.cursor
+
+    def take(self) -> ast.Query:
+        """Fill the sibling that pops next."""
+        value = self.domain[self.cursor]
+        self.cursor += 1
+        return fill(self.parent, self.position, value)
+
+    def queries(self) -> list[ast.Query]:
+        """The remaining siblings as plain stack entries (top last)."""
+        return [fill(self.parent, self.position, value)
+                for value in reversed(self.domain[self.cursor:])]
 
 
 class _Worklist:
@@ -40,11 +74,14 @@ class _Worklist:
     quickly) still dominate early, and within a lane the search is
     depth-first, reaching concrete candidates without materializing the
     breadth-first frontier, which is impractical at pure-Python speeds.
+
+    A lane's stack holds plain queries and :class:`_Family` entries; a
+    family counts as all of its remaining siblings everywhere.
     """
 
     def __init__(self) -> None:
-        self._stacks: dict[int, list[ast.Query]] = {}  # lane id -> stack
-        self._order: list[int] = []                    # live lanes, size order
+        self._stacks: dict[int, list] = {}  # lane id -> queries, families
+        self._order: list[int] = []         # live lanes, size order
         self._rr = 0
         self._count = 0
         self._next_lane = 0
@@ -74,10 +111,11 @@ class _Worklist:
         self._count += 1
         return lane_id
 
-    def push(self, query: ast.Query, lane_id: int) -> None:
-        """Push an expansion onto its parent's lane."""
-        self._stacks[lane_id].append(query)
-        self._count += 1
+    def push(self, entry: ast.Query | _Family, lane_id: int) -> None:
+        """Push an expansion onto its parent's lane: one query, or a
+        non-empty family standing for its siblings."""
+        self._stacks[lane_id].append(entry)
+        self._count += len(entry) if type(entry) is _Family else 1
 
     def pop(self) -> tuple[int, ast.Query]:
         """The next ``(lane_id, query)`` in round-robin order."""
@@ -99,7 +137,14 @@ class _Worklist:
         if idx == 0:
             self.round += 1
         lane_id = self._order[idx]
-        query = self._stacks[lane_id].pop()
+        stack = self._stacks[lane_id]
+        entry = stack[-1]
+        if type(entry) is _Family:
+            query = entry.take()
+            if not entry:
+                stack.pop()
+        else:
+            query = stack.pop()
         self._count -= 1
         self._rr = (idx + 1) % len(self._order)
         return lane_id, query
@@ -141,11 +186,22 @@ class _Worklist:
     def export_lanes(self) -> list[tuple[int, list[ast.Query]]]:
         """Snapshot the live lanes as ``(lane_id, stack)`` pairs, seed order.
 
-        Stacks are copies: an exported payload crossing a process boundary
-        must not alias live state.
+        Stacks are plain-query copies, families filled out in pop order, so
+        shard payloads, lane costs and the replay merge see exactly the
+        eager stacks; an exported payload crossing a process boundary never
+        aliases live state.
         """
-        return [(lane, list(self._stacks[lane])) for lane in self._order
-                if self._stacks[lane]]
+        lanes = []
+        for lane in self._order:
+            stack: list[ast.Query] = []
+            for entry in self._stacks[lane]:
+                if type(entry) is _Family:
+                    stack.extend(entry.queries())
+                else:
+                    stack.append(entry)
+            if stack:
+                lanes.append((lane, stack))
+        return lanes
 
 
 @dataclass
@@ -235,23 +291,19 @@ POP_CONSISTENT = "consistent"      # concrete; a solution candidate
 #: ``evaluate_tracking_many`` at expansion time.  Covers the common
 #: aggregation/arithmetic/predicate families while keeping the eager work
 #: per pop bounded (an early stop may never pop an oversized family).
+#: Such a family is filled at expansion and pushed as plain queries; every
+#: other family is pushed as a lazy :class:`_Family`.
 TRACKING_WARM_LIMIT = 64
 
 
-def admit_skeleton(skeleton: ast.Query, demo: Demonstration,
-                   config: SynthesisConfig, stats: SearchStats) -> int | None:
-    """Shape-precheck one skeleton before it seeds a lane.
+def admit_skeleton(skeleton: ast.Query, stats: SearchStats) -> int:
+    """Admit one built skeleton before it seeds a lane.
 
-    Returns the skeleton's operator count when admitted (updating the
-    max-depth stat), or ``None`` when the precheck rejects it (counted as a
-    visited-and-pruned query, exactly as the serial loop always has).
-    Sharded runs seed through the same session, so every path admits
-    skeletons here.
+    Returns the skeleton's operator count, updating the max-depth stat.
+    The shape precheck ran per operator sequence before any skeleton was
+    built (``SynthesisSession.start``).  Sharded runs seed through the
+    same session, so every path admits skeletons here.
     """
-    if config.shape_precheck and not shape_feasible(skeleton, demo):
-        stats.visited += 1
-        stats.pruned += 1
-        return None
     size = operator_count(skeleton)
     if size > stats.max_skeleton_size:
         stats.max_skeleton_size = size
@@ -263,10 +315,11 @@ def process_pop(query: ast.Query, env: ast.Env, demo: Demonstration,
                 engine: EvalEngine, stats: SearchStats):
     """Process one popped query: classify it and update the counters.
 
-    Returns ``(outcome, expansions)``; ``expansions`` holds the hole
-    instantiations in canonical domain order when the query was expanded
-    (the caller owns push order — LIFO lanes push them reversed), and is
-    empty otherwise.
+    Returns ``(outcome, entries)``; when the query was expanded,
+    ``entries`` are the lane stack entries for its hole instantiations, in
+    push order, so that popping explores them in canonical domain order:
+    one lazy :class:`_Family`, or the reversed siblings of a warmed
+    concrete family.  ``entries`` is empty otherwise.
     """
     stats.visited += 1
     if is_concrete(query):
@@ -282,24 +335,28 @@ def process_pop(query: ast.Query, env: ast.Env, demo: Demonstration,
     if not abstraction.feasible(query, env, demo):
         stats.pruned += 1
         return POP_PRUNED, ()
-    position = first_hole(query)
-    assert position is not None  # query is partial here
+    holes = holes_of(query)
+    position = holes[0]             # query is partial here
     stats.expanded += 1
     domain = hole_domain(query, position, env, config, demo, engine)
+    if not domain:
+        return POP_EXPANDED, ()
+    if len(holes) > 1 or len(domain) > TRACKING_WARM_LIMIT:
+        # Siblings are filled as they are popped; most never are, since
+        # the abstraction cuts their parent's subtree or the budget ends.
+        # Oversized concrete families (e.g. the exponential proj-columns
+        # domain) are left to per-pop checking for the same reason, and
+        # because a batch would run between deadline checks.
+        return POP_EXPANDED, (_Family(query, position, tuple(domain)),)
+    # The filled hole is the last one, so *every* sibling is concrete
+    # (they differ only in the filled value) and each will face the ≺
+    # check when popped.  Run the whole family through the batched
+    # tracking + consistency pipeline now: dispatch, hole checks, the
+    # shared evaluation prefix AND the shared column match state are paid
+    # once (siblings share all but one output column, so each additional
+    # sibling matches exactly one new column); every later pop is then a
+    # verdict-cache hit.  Ill-typed siblings get a False verdict exactly as
+    # the per-pop check would give them.
     expansions = tuple(fill(query, position, value) for value in domain)
-    if expansions and len(expansions) <= TRACKING_WARM_LIMIT \
-            and is_concrete(expansions[0]):
-        # The filled hole was the last one, so *every* sibling is concrete
-        # (they differ only in the filled value) and each will face the ≺
-        # check when popped.  Run the whole family through the batched
-        # tracking + consistency pipeline now: dispatch, hole checks, the
-        # shared evaluation prefix AND the shared column match state are
-        # paid once (siblings share all but one output column, so each
-        # additional sibling matches exactly one new column); every later
-        # pop is then a verdict-cache hit.  Ill-typed siblings get a False
-        # verdict exactly as the per-pop check would give them.  Oversized
-        # families (e.g. the exponential proj-columns domain) are left to
-        # per-pop checking: an early stop or budget expiry may never pop
-        # most of them, and the batch runs between deadline checks.
-        engine.consistency.demo_consistent_many(expansions, env, demo)
-    return POP_EXPANDED, expansions
+    engine.consistency.demo_consistent_many(expansions, env, demo)
+    return POP_EXPANDED, expansions[::-1]

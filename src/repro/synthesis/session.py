@@ -7,12 +7,18 @@ consistent queries found so far and the engine/abstraction handles — with
 a small lifecycle API:
 
 ``start()``
-    Seed the skeleton lanes (idempotent; ``step`` auto-starts).
+    Seed the skeleton lanes (idempotent; ``step`` auto-starts).  The shape
+    precheck runs once per operator sequence against the demonstration's
+    distinct function paths; skeletons of a rejected sequence are never
+    built, yet each is charged as a visited-and-pruned query.
 ``step(max_pops=..., timeout_s=...)``
     Advance the serial search loop by a bounded slice and report the
-    consistent queries it surfaced.  A session driven to completion in one
-    unbounded ``step()`` visits byte-for-byte the sequence the classic
-    serial loop visits — same ranked queries, same ``SearchStats``.
+    consistent queries it surfaced.  An expansion pushes its siblings as
+    one lazy family entry, filled one sibling per pop (see
+    :class:`~repro.synthesis.enumerator._Worklist`).  A session driven to
+    completion in one unbounded ``step()`` visits byte-for-byte the
+    sequence the classic serial loop visits — same ranked queries, same
+    ``SearchStats``.
 ``checkpoint() / resume(blob)``
     Snapshot the session to bytes / rebuild it anywhere.  Checkpointing is
     side-effect free: the live session keeps stepping and its counters are
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import pickle
 from collections.abc import Sequence
+from functools import partial
 
 from dataclasses import dataclass, field
 
@@ -71,14 +78,15 @@ from repro.synthesis.enumerator import (
     process_pop,
 )
 from repro.synthesis.ranking import rank_queries
-from repro.synthesis.skeletons import construct_skeletons
+from repro.synthesis.shape import demo_function_paths, sequence_feasible
+from repro.synthesis.skeletons import construct_skeletons, count_skeletons
 from repro.synthesis.stop import StopSpec, as_stop_spec
 from repro.table.table import Table
 from repro.util.timer import Deadline, Stopwatch
 
 #: Checkpoint format version; bumped whenever the pickled state layout
 #: changes so a stale blob fails loudly instead of resuming garbage.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Session lifecycle phases.
 NEW = "new"          # constructed; lanes not seeded yet
@@ -150,13 +158,21 @@ class SynthesisSession:
         if self._phase != NEW:
             return
         watch = Stopwatch()
+        cfg, stats = self.config, self.stats
         self._worklist = _Worklist()
-        skeletons = construct_skeletons(self.env, self.config)
-        self.stats.skeletons = len(skeletons)
+        admit = partial(sequence_feasible,
+                        paths=demo_function_paths(self.demo)) \
+            if cfg.shape_precheck else None
+        skeletons = construct_skeletons(self.env, cfg, admit)
+        # Skeletons of rejected sequences are never built, but each still
+        # counts as a visited-and-pruned query.
+        stats.skeletons = count_skeletons(self.env, cfg)
+        rejected = stats.skeletons - len(skeletons)
+        stats.visited += rejected
+        stats.pruned += rejected
         for skeleton in skeletons:
-            if admit_skeleton(skeleton, self.demo, self.config,
-                              self.stats) is not None:
-                self._worklist.add_lane(skeleton)
+            admit_skeleton(skeleton, stats)
+            self._worklist.add_lane(skeleton)
         self._phase = ACTIVE if self._worklist else DONE
         if self._phase == DONE:
             self._worklist = None
@@ -226,7 +242,7 @@ class SynthesisSession:
                 pops += 1
                 if hook is not None:
                     hook()
-                outcome, expansions = process_pop(
+                outcome, entries = process_pop(
                     query, self.env, self.demo, cfg, abstraction, engine,
                     stats)
                 if outcome is POP_CONSISTENT:
@@ -250,9 +266,8 @@ class SynthesisSession:
                 if events is not None:
                     events[lane_id].append(outcome)
                 if outcome is POP_EXPANDED:
-                    # Reversed for LIFO lanes: explored in domain order.
-                    for expansion in reversed(expansions):
-                        worklist.push(expansion, lane_id)
+                    for entry in entries:
+                        worklist.push(entry, lane_id)
             else:
                 self._finish()          # worklist drained
         finally:

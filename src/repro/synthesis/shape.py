@@ -22,6 +22,9 @@ operator chain.  So every root-to-leaf function path of every demonstration
 cell must embed, innermost-first, into the skeleton's operator chain as a
 subsequence of compatible producers.  Skeleton lanes failing the check are
 pruned before any instantiation work (toggle: ``SynthesisConfig.shape_precheck``).
+The check reads only the producer chain, so a search runs it once per
+operator sequence (:func:`sequence_feasible`) against the demonstration's
+distinct paths, computed once (:func:`demo_function_paths`).
 
 ``sum``-flattening makes this conservative in the right direction: a
 demonstrated ``sum`` may be realized by any single grouping operator even
@@ -83,6 +86,12 @@ def function_paths(expr: Expr) -> list[tuple[str, ...]]:
     return [(kind, *path) for path in child_paths]
 
 
+def demo_function_paths(demo: Demonstration) -> frozenset[tuple[str, ...]]:
+    """The distinct function paths of every demonstration cell."""
+    return frozenset(path for row in demo.cells for cell in row
+                     for path in function_paths(cell))
+
+
 def _path_embeds(path: tuple[str, ...], chain: list[str]) -> bool:
     """Innermost function first, matched against the chain bottom-up."""
     pos = 0
@@ -96,8 +105,26 @@ def _path_embeds(path: tuple[str, ...], chain: list[str]) -> bool:
     return True
 
 
+def sequence_feasible(sequence: tuple[str, ...],
+                      paths: frozenset[tuple[str, ...]]) -> bool:
+    """The precheck for every skeleton built from one operator sequence.
+
+    ``sequence`` lists operator names innermost first, as
+    :func:`~repro.synthesis.skeletons.construct_skeletons` applies them.
+    Its leaves (tables and join trees) produce no function terms, so the
+    producer chain, and with it the verdict, depend on the sequence alone.
+    """
+    producing = _OP_NAMES.values()
+    chain = [op for op in sequence if op in producing]
+    return all(_path_embeds(path, chain) for path in paths)
+
+
 def shape_feasible(query: ast.Query, demo: Demonstration) -> bool:
-    """True when every demonstrated function path fits the skeleton."""
+    """True when every demonstrated function path fits the skeleton.
+
+    The per-skeleton form of :func:`sequence_feasible`, kept as its
+    reference.
+    """
     chain = operator_chain(query)
     for row in demo.cells:
         for cell in row:

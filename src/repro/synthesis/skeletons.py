@@ -12,6 +12,7 @@ budget.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import combinations, product
 
 from repro.lang import ast
@@ -70,22 +71,41 @@ def _useful_sequence(seq: tuple[str, ...]) -> bool:
     return True
 
 
-def construct_skeletons(env: ast.Env, config: SynthesisConfig) -> list[ast.Query]:
-    """All skeletons with at most ``config.max_operators`` operators."""
-    skeletons: list[tuple[int, int, ast.Query]] = []
-    order = 0
-    for length in range(0, config.max_operators + 1):
+def _sequences(env: ast.Env, config: SynthesisConfig):
+    """Each useful operator sequence with the ``(leaf, size)`` pairs that
+    fit it, in emission order (sequence length, then pool order)."""
+    budget = config.max_operators
+    leaves = _leaves(env, budget)
+    for length in range(0, budget + 1):
+        fitting = [(leaf, cost + length) for leaf, cost in leaves
+                   if 0 < cost + length <= budget]
         for seq in product(config.operator_pool, repeat=length):
-            if not _useful_sequence(seq):
-                continue
-            for leaf, leaf_cost in _leaves(env, config.max_operators - length):
-                total = leaf_cost + length
-                if total > config.max_operators or total == 0:
-                    continue
-                query: ast.Query = leaf
-                for op in seq:
-                    query = _HOLE_BUILDERS[op](query)
-                skeletons.append((total, order, query))
-                order += 1
+            if _useful_sequence(seq):
+                yield seq, fitting
+
+
+def construct_skeletons(env: ast.Env, config: SynthesisConfig,
+                        admit: Callable[[tuple[str, ...]], bool] | None = None,
+                        ) -> list[ast.Query]:
+    """All skeletons with at most ``config.max_operators`` operators.
+
+    ``admit`` screens operator sequences (innermost operator first) before
+    any of their skeletons is built; a rejected sequence's skeletons are
+    skipped, and :func:`count_skeletons` still counts them.
+    """
+    skeletons: list[tuple[int, int, ast.Query]] = []
+    for seq, fitting in _sequences(env, config):
+        if admit is not None and not admit(seq):
+            continue
+        for leaf, total in fitting:
+            query: ast.Query = leaf
+            for op in seq:
+                query = _HOLE_BUILDERS[op](query)
+            skeletons.append((total, len(skeletons), query))
     skeletons.sort(key=lambda item: (item[0], item[1]))
     return [query for _, _, query in skeletons]
+
+
+def count_skeletons(env: ast.Env, config: SynthesisConfig) -> int:
+    """How many skeletons :func:`construct_skeletons` emits unscreened."""
+    return sum(len(fitting) for _, fitting in _sequences(env, config))

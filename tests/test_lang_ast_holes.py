@@ -98,3 +98,66 @@ class TestNodeProtocol:
         assert Join(TableRef("A"), TableRef("B")).param_fields() == ()
         assert Join(TableRef("A"), TableRef("B"),
                     pred=Hole("pred")).param_fields() == ("pred",)
+
+
+def _every_node_kind():
+    """One node of each kind with a child, parameters and a cached hash."""
+    from repro.lang import Filter, Join, LeftJoin, Proj, Sort
+    from repro.lang.predicates import ColCmp
+    t, s = TableRef("T"), TableRef("S")
+    pred = ColCmp(0, "==", 1)
+    return [
+        Filter(t, pred=pred),
+        Join(t, s, pred=pred),
+        LeftJoin(t, s, pred=pred),
+        Proj(t, cols=(0, 1)),
+        Sort(t, cols=(1,), ascending=False),
+        Group(t, keys=(0,), agg_func="sum", agg_col=1, alias="total"),
+        Partition(t, keys=(0,), agg_func="rank", agg_col=2),
+        Arithmetic(t, func="add", cols=(1, 2)),
+    ]
+
+
+class TestNodeDerivation:
+    """``with_params``/``with_children`` copy ``__dict__`` instead of going
+    through ``dataclasses.replace``; the result must be indistinguishable."""
+
+    @pytest.mark.parametrize("node", _every_node_kind(),
+                             ids=lambda n: type(n).__name__)
+    def test_derived_node_matches_replace(self, node):
+        import dataclasses
+        import pickle
+        hash(node)                               # cache the parent's hash
+        assert "_hash" in node.__dict__
+        child = Group(TableRef("U"), keys=(1,), agg_func="max", agg_col=0)
+        children = tuple(child for _ in node.child_queries())
+        field = node.param_fields()[0]
+        value = Hole(field)
+        for derived, expected in (
+                (node.with_params(**{field: value}),
+                 dataclasses.replace(node, **{field: value})),
+                (node.with_children(children),
+                 dataclasses.replace(node, **dict(zip(
+                     ("left", "right") if len(children) == 2
+                     else ("child",), children))))):
+            assert type(derived) is type(node)
+            assert "_hash" not in derived.__dict__
+            assert derived == expected
+            fresh = type(node)(**{f.name: getattr(expected, f.name)
+                                  for f in dataclasses.fields(node)})
+            assert hash(derived) == hash(fresh)
+            assert derived != node and hash(derived) != hash(node)
+            assert "_hash" not in pickle.loads(pickle.dumps(derived)).__dict__
+            assert pickle.loads(pickle.dumps(derived)) == derived
+
+    def test_unknown_field_rejected_like_replace(self):
+        node = Group(TableRef("T"), keys=(0,), agg_func="sum", agg_col=1)
+        with pytest.raises(TypeError, match="bogus"):
+            node.with_params(bogus=1)
+
+    def test_fill_leaves_the_parent_unchanged(self):
+        skeleton = _skeleton()
+        before = hash(skeleton)
+        filled = fill(skeleton, ((0, 0), "keys"), (0,))
+        assert skeleton == _skeleton() and hash(skeleton) == before
+        assert node_at(filled, (0, 0)).keys == (0,)

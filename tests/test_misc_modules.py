@@ -170,6 +170,31 @@ class TestSpaceCounter:
         # 5 funcs for numeric, 1 (count) for string
         assert count > 10
 
+    def test_last_hole_families_counted_not_filled(self, tiny_table):
+        """Counting a last-hole family by its domain size gives the count
+        of filling and popping every one of its queries."""
+        from repro.engine.base import make_engine
+        from repro.experiments.space import count_search_space
+        from repro.lang.holes import fill, first_hole
+        from repro.synthesis import SynthesisConfig, construct_skeletons
+        from repro.synthesis.domains import hole_domain
+        env = Env.of(tiny_table)
+        config = SynthesisConfig(max_operators=2,
+                                 operator_pool=("group", "arithmetic"))
+        engine = make_engine(config.backend)
+        naive, stack = 0, list(construct_skeletons(env, config))
+        while stack:
+            query = stack.pop()
+            position = first_hole(query)
+            if position is None:
+                naive += 1
+                continue
+            for value in hole_domain(query, position, env, config, None,
+                                     engine):
+                stack.append(fill(query, position, value))
+        assert count_search_space(env, config) == (naive, True)
+        assert naive > 100
+
     def test_cap_stops_early(self, tiny_table):
         from repro.experiments.space import count_search_space
         from repro.synthesis import SynthesisConfig

@@ -203,6 +203,22 @@ def test_service_config_rejects_bad_budgets(field, value):
         ServiceConfig(**{field: value})
 
 
+@pytest.mark.parametrize("interval", (0, -0.1))
+def test_worker_pool_rejects_non_positive_supervise_interval(interval):
+    """A pool built directly refuses an interval that would silently
+    start no supervisor, as ``ServiceConfig`` does."""
+    with pytest.raises(ValueError, match="supervise_interval_s"):
+        WorkerPool(1, backend="threads", supervise_interval_s=interval)
+
+
+def test_worker_pool_none_supervise_interval_runs_no_supervisor():
+    pool = WorkerPool(1, backend="threads", supervise_interval_s=None)
+    try:
+        assert pool._supervisor is None
+    finally:
+        pool.close()
+
+
 def test_service_config_none_budgets_keep_their_meaning():
     """``None`` still means no default request budget and no supervisor."""
     async def main():

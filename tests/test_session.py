@@ -21,6 +21,7 @@ from repro.synthesis import (
     SynthesisSession,
     Synthesizer,
 )
+from repro.synthesis.enumerator import _Family
 
 #: Mirrors the parallel differential budget: deterministic prefixes on
 #: every machine, the whole sweep in tens of seconds.
@@ -261,6 +262,46 @@ def test_stale_checkpoint_version_rejected():
     hollow = SynthesisSession.__new__(SynthesisSession)
     with pytest.raises(ValueError, match="checkpoint version"):
         hollow.__setstate__(state)
+
+
+def test_checkpoint_version_3_blob_refused():
+    """Version 3 pickled eager stacks; its worklists hold no families."""
+    task = FOCUS_TASKS[0]
+    session = _session(task, _config(task))
+    session.step(max_pops=5)
+    state = session.__getstate__()
+    state["version"] = 3
+    with pytest.raises(ValueError, match="checkpoint version 3"):
+        SynthesisSession.resume(pickle.dumps(state))
+
+
+def _mid_family(session):
+    """Whether some lane's stack holds a partly consumed family."""
+    return any(type(entry) is _Family and entry.cursor > 0
+               for stack in session._worklist._stacks.values()
+               for entry in stack)
+
+
+@pytest.mark.parametrize("stop", (False, True), ids=("top_n", "gt"))
+def test_checkpoint_mid_family_resumes_identically(stop):
+    """A checkpoint taken while a sibling family is partly popped resumes
+    to the uninterrupted run's ranked queries and counters."""
+    task = HARD_TASK
+    config = _config(task, top_n=10**6)
+    stop = GroundTruthStop(task.ground_truth) if stop else None
+    reference = _baseline(task, config, stop)
+    session = _session(task, config, stop)
+    session.start()
+    while not _mid_family(session):
+        session.step(max_pops=1)
+    assert not session.done
+    resumed = SynthesisSession.resume(session.checkpoint())
+    assert _mid_family(resumed)
+    assert resumed._worklist.export_lanes() == \
+        session._worklist.export_lanes()
+    while not resumed.done:
+        resumed.step(max_pops=29)
+    _assert_identical(reference, resumed.result())
 
 
 def test_step_streams_new_queries_in_discovery_order():

@@ -6,12 +6,20 @@ from repro.lang import Arithmetic, Env, Group, Join, Partition, Sort, TableRef
 from repro.lang.holes import holes_of
 from repro.lang.size import operator_count
 from repro.provenance import Demonstration, cell, func, partial_func
-from repro.synthesis import SynthesisConfig, construct_skeletons
+from repro.benchmarks import all_tasks
+from repro.synthesis import (
+    SynthesisConfig,
+    SynthesisSession,
+    construct_skeletons,
+)
 from repro.synthesis.shape import (
+    demo_function_paths,
     function_paths,
     operator_chain,
+    sequence_feasible,
     shape_feasible,
 )
+from repro.synthesis.skeletons import count_skeletons
 from repro.table import Table
 
 
@@ -143,3 +151,45 @@ class TestShapeFeasible:
                               pred=H("p")),
                        func=H("f"), cols=H("c"))
         assert operator_chain(q) == ["group", "arithmetic"]
+
+
+TASKS = all_tasks()
+
+
+@pytest.mark.parametrize("precheck", (True, False), ids=("precheck", "off"))
+def test_per_sequence_admission_matches_per_skeleton_check(precheck):
+    """Screening operator sequences before building their skeletons gives
+    exactly what building every skeleton and calling ``shape_feasible``
+    on it gives: the same counters and the same lanes in the same order."""
+    for task in TASKS:
+        config = task.config.replace(shape_precheck=precheck)
+        session = SynthesisSession(task.tables, task.demonstration, config)
+        session.start()
+
+        every = construct_skeletons(session.env, config)
+        assert count_skeletons(session.env, config) == len(every)
+        lanes = [s for s in every
+                 if not precheck or shape_feasible(s, task.demonstration)]
+        rejected = len(every) - len(lanes)
+        stats = session.stats
+        assert (stats.skeletons, stats.visited, stats.pruned) == \
+            (len(every), rejected, rejected), task.name
+        assert stats.max_skeleton_size == \
+            max((operator_count(s) for s in lanes), default=0), task.name
+        exported = session._worklist.export_lanes() if lanes else []
+        assert [stack for _, stack in exported] == \
+            [[s] for s in lanes], task.name
+        assert [lane for lane, _ in exported] == list(range(len(lanes)))
+
+
+def test_sequence_check_reads_the_producer_chain():
+    share = func("percent", func("sum", cell("T", 0, 2)), cell("T", 0, 2))
+    demo = Demonstration([[share, partial_func("rank", cell("T", 0, 1))],
+                          [share, cell("T", 1, 0)]])
+    paths = demo_function_paths(demo)
+    assert paths == {("arithmetic", "aggregate"), ("ranker",)}
+    assert sequence_feasible(("partition", "sort", "arithmetic"), paths)
+    assert not sequence_feasible(("group", "arithmetic"), paths)
+    assert not sequence_feasible(("arithmetic", "partition"), paths)
+    assert not sequence_feasible(("filter", "proj"), paths)
+    assert sequence_feasible(("filter",), frozenset())

@@ -35,9 +35,11 @@ import asyncio
 import gc
 import statistics
 import time
+from unittest import mock
 
 import pytest
 
+import repro.serve.pool as pool_module
 from repro.benchmarks import all_tasks
 from repro.serve import (
     FaultPlan,
@@ -190,8 +192,7 @@ async def _recovery_run(task, config, faults) -> tuple[float, object, dict]:
     """(wall_s, result, pool telemetry) for one request through a fresh
     single-worker process pool, with or without injected faults."""
     svc_cfg = ServiceConfig(pool_size=1, pool_backend="processes",
-                            slice_pops=100, max_retries=4,
-                            supervise_interval_s=0.02, faults=faults)
+                            slice_pops=100, max_retries=4, faults=faults)
     async with SynthesisService(svc_cfg) as svc:
         start = time.perf_counter()
         handle = svc.submit(task.tables, task.demonstration, config)
@@ -209,10 +210,12 @@ def recovery_measurements() -> dict:
     task = serve_task()
     config = task.config.replace(timeout_s=None, max_visited=VISITED_BUDGET)
     gc.collect()
-    clean_s, clean, _ = asyncio.run(_recovery_run(task, config, None))
-    faults = FaultPlan(seed=5, crash_before=1.0)
-    crashed_s, crashed, telemetry = asyncio.run(
-        _recovery_run(task, config, faults))
+    # A 0.02 s supervisor sweep, so detection latency does not dominate.
+    with mock.patch.object(pool_module, "SUPERVISE_INTERVAL_S", 0.02):
+        clean_s, clean, _ = asyncio.run(_recovery_run(task, config, None))
+        faults = FaultPlan(seed=5, crash_before=1.0)
+        crashed_s, crashed, telemetry = asyncio.run(
+            _recovery_run(task, config, faults))
     assert crashed.queries == clean.queries
     assert crashed.stats.visited == clean.stats.visited
     return {

@@ -476,7 +476,7 @@ class ProvenanceAbstraction(Abstraction):
     name = "provenance"
 
     #: Retained analyzers: the pinned session analyzer plus up to three
-    #: override analyzers (per-run backend overrides must not accumulate).
+    #: override analyzers (transient rebinds must not accumulate).
     MAX_ANALYZERS = 4
 
     def __init__(self, target_refinement: bool = True,
@@ -485,8 +485,8 @@ class ProvenanceAbstraction(Abstraction):
         self.value_shadow = value_shadow
         self.head_typing = head_typing
         self._analyzer: ProvenanceAnalyzer | None = None
-        # One analyzer per engine ever bound: a transient rebind (per-run
-        # backend override) must not discard the session's memoization.
+        # One analyzer per engine ever bound: a transient rebind to another
+        # engine must not discard the session's memoization.
         # Explicit retention policy: the *first-bound* (session) analyzer
         # is pinned for the abstraction's lifetime; override analyzers are
         # kept in an LRU order (most recently re-bound last) and the least

@@ -37,8 +37,8 @@ already-warm workers — and a request whose config asks for
 ``workers > 1`` fans out onto shard workers when the pool has idle
 capacity.  Results are byte-identical across tiers.
 
-Engines are explicit when you want them (``make_engine("row")``) and
-implicit otherwise (``config.backend`` selects one per run).
+Every run evaluates on the columnar engine unless one is injected:
+``Synthesizer(engine=make_engine("row"))`` runs the row reference.
 """
 
 from __future__ import annotations

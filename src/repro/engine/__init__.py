@@ -25,9 +25,12 @@ checking over a stream of sibling candidates — and are held byte-identical
 by the registry-wide differential suites plus the generative cross-backend
 fuzz harness (``tests/test_backend_fuzz.py``).
 
-``make_engine(name)`` is the factory the synthesis layer uses
-(``SynthesisConfig.backend`` selects the name); ``capabilities()`` reports
-the selectable names.
+``make_engine()`` is the factory the synthesis layer uses; it builds the
+columnar engine, the only production path.  The row engine is the
+reference: a caller that wants it injects it, with
+``Synthesizer(engine=make_engine("row"))`` or
+``session.attach_engine(make_engine("row"))``.  ``capabilities()``
+reports the engine names.
 """
 
 from repro.engine.base import BACKENDS, EngineStats, EvalEngine, \

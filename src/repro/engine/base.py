@@ -29,7 +29,7 @@ from repro.table.table import Table
 #: :meth:`EvalEngine.tracked_columns_many` (see there).
 DEFAULT_GRID_CACHE = 50_000
 
-#: The selectable evaluation backends (``SynthesisConfig.backend``).
+#: The evaluation engines :func:`make_engine` builds.
 BACKENDS: tuple[str, ...] = ("row", "columnar")
 
 #: What ``errors="none"`` batch evaluation tolerates: the evaluation
@@ -87,12 +87,6 @@ class EngineStats:
         """Fraction of consistency verdicts served from cache."""
         total = self.consistency_checks + self.consistency_hits
         return self.consistency_hits / total if total else 0.0
-
-    @property
-    def col_match_hit_rate(self) -> float:
-        """Fraction of column match-matrix lookups served from the memo."""
-        total = self.col_match_evals + self.col_match_hits
-        return self.col_match_hits / total if total else 0.0
 
     @property
     def col_prune_rate(self) -> float:
@@ -269,18 +263,13 @@ class EvalEngine:
 
 
 def make_engine(name: str = "columnar", **kwargs) -> EvalEngine:
-    """Factory: ``"row"`` | ``"columnar"``."""
+    """Factory: ``"columnar"`` (the production engine) | ``"row"`` (the
+    reference interpreter, injected where a test compares against it)."""
     from repro.engine.columnar import ColumnarEngine
     from repro.engine.row import RowEngine
 
     factories = {"row": RowEngine, "columnar": ColumnarEngine}
-    try:
-        factory = factories[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine backend {name!r}; choose from {sorted(factories)}"
-        ) from None
-    return factory(**kwargs)
+    return factories[resolve_backend(name)](**kwargs)
 
 
 def resolve_backend(name: str) -> str:
@@ -292,7 +281,7 @@ def resolve_backend(name: str) -> str:
 
 
 def capabilities() -> dict:
-    """The selectable evaluation backends plus host library versions.
+    """The evaluation engines plus host library versions.
 
     Experiment drivers log this next to results.  ``numpy_version`` is
     read from package metadata (no import); ``None`` when not installed.

@@ -115,13 +115,6 @@ def filter_indices(block: ColumnBlock, pred: Predicate) -> list[int] | None:
     return [i for i, m in enumerate(mask) if m]
 
 
-def filter_block(block: ColumnBlock, pred: Predicate) -> ColumnBlock:
-    keep = filter_indices(block, pred)
-    if keep is None:
-        return block
-    return take_rows(block, keep)
-
-
 # ---------------------------------------------------------------------- joins
 
 def pair_columns(left: ColumnBlock, right: ColumnBlock,
@@ -173,13 +166,6 @@ def join_pairs(left: ColumnBlock, right: ColumnBlock,
             if pred.evaluate(lrow + rrow)]
 
 
-def join_blocks(left: ColumnBlock, right: ColumnBlock,
-                pred: Predicate | None) -> ColumnBlock:
-    if pred is None:
-        return cross_join(left, right)
-    return pair_columns(left, right, join_pairs(left, right, pred))
-
-
 def left_join_pairs(left: ColumnBlock, right: ColumnBlock,
                     pred: Predicate) -> list[tuple[int, int | None]]:
     """(left row, right row | None) pairs of a left outer join, in the row
@@ -207,12 +193,6 @@ def left_pair_columns(left: ColumnBlock, right: ColumnBlock,
     return ColumnBlock(columns, len(pairs))
 
 
-def left_join_blocks(left: ColumnBlock, right: ColumnBlock,
-                     pred: Predicate) -> ColumnBlock:
-    """Left outer join: unmatched left rows padded with NULLs."""
-    return left_pair_columns(left, right, left_join_pairs(left, right, pred))
-
-
 # ----------------------------------------------------------------------- sort
 
 def sort_indices(block: ColumnBlock, cols: Sequence[int],
@@ -223,11 +203,6 @@ def sort_indices(block: ColumnBlock, cols: Sequence[int],
         range(block.n_rows),
         key=lambda i: tuple(value_sort_key(col[i]) for col in key_cols),
         reverse=not ascending)
-
-
-def sort_block(block: ColumnBlock, cols: Sequence[int],
-               ascending: bool) -> ColumnBlock:
-    return take_rows(block, sort_indices(block, cols, ascending))
 
 
 # ----------------------------------------------------- grouping and analytics

@@ -11,7 +11,7 @@ Usage::
     python -m repro.experiments.cli serve [options]   # tasks via the service
 
 Options: ``--suite forum|tpcds``, ``--difficulty easy|hard``,
-``--techniques provenance,value,type``, ``--backend row|columnar``,
+``--techniques provenance,value,type``,
 ``--workers N`` (shard the search across N worker processes),
 ``--easy-timeout S``, ``--hard-timeout S``, ``--tasks name1,name2``,
 ``--csv FILE``.
@@ -38,7 +38,6 @@ import json
 import sys
 
 from repro.benchmarks import all_tasks, task_summary, validate_task
-from repro.engine import BACKENDS
 from repro.experiments.figures import fig12_table, fig13_table, results_csv
 from repro.experiments.report import observation_report
 from repro.experiments.runner import RunConfig, run_suite
@@ -60,7 +59,6 @@ def build_run_config(args) -> RunConfig:
     """The one place CLI options become a sweep config."""
     return RunConfig(easy_timeout_s=args.easy_timeout,
                      hard_timeout_s=args.hard_timeout,
-                     backend=args.backend,
                      workers=args.workers)
 
 
@@ -150,8 +148,6 @@ def main(argv=None) -> int:
     parser.add_argument("--difficulty", choices=("easy", "hard"))
     parser.add_argument("--tasks", help="comma-separated task names")
     parser.add_argument("--techniques", default="provenance,value,type")
-    parser.add_argument("--backend", choices=BACKENDS,
-                        help="evaluation engine (default: task-configured)")
     parser.add_argument("--workers", type=int, default=1,
                         help="shard the search across N worker processes "
                              "(default 1 = serial; results are identical)")

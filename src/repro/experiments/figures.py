@@ -102,7 +102,7 @@ def results_csv(results: Sequence[TaskResult]) -> str:
     """Raw per-run results as CSV (for external analysis)."""
     header = ("task,suite,difficulty,technique,solved,time_s,visited,pruned,"
               "concrete_checked,consistent_found,timed_out,rank,demo_cells,"
-              "backend,workers,engine_concrete_evals,engine_concrete_hits,"
+              "workers,engine_concrete_evals,engine_concrete_hits,"
               "engine_tracking_evals,engine_tracking_hits,"
               "consistency_checks,consistency_hits,consistency_col_pruned,"
               "col_match_evals,col_match_hits")
@@ -112,7 +112,7 @@ def results_csv(results: Sequence[TaskResult]) -> str:
             f"{r.task},{r.suite},{r.difficulty},{r.technique},{r.solved},"
             f"{r.time_s:.3f},{r.visited},{r.pruned},{r.concrete_checked},"
             f"{r.consistent_found},{r.timed_out},"
-            f"{'' if r.rank is None else r.rank},{r.demo_cells},{r.backend},"
+            f"{'' if r.rank is None else r.rank},{r.demo_cells},"
             f"{r.workers},{r.engine_concrete_evals},{r.engine_concrete_hits},"
             f"{r.engine_tracking_evals},{r.engine_tracking_hits},"
             f"{r.consistency_checks},{r.consistency_hits},"

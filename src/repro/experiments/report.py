@@ -150,9 +150,7 @@ def observation_report(results: Sequence[TaskResult]) -> str:
     techniques = sorted({r.technique for r in results})
     n_tasks = len({r.task for r in results})
     lines = [f"=== Experiment report over {n_tasks} tasks ===", ""]
-    backends = sorted({r.backend for r in results if r.backend})
-    if backends:
-        lines.append("evaluation backend: " + ", ".join(backends))
+    if results:
         workers = sorted({r.workers for r in results})
         lines.append("search workers: "
                      + ", ".join(str(w) for w in workers))

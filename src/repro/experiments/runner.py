@@ -29,29 +29,20 @@ DEFAULT_HARD_TIMEOUT = float(os.environ.get("REPRO_TIMEOUT_HARD", "15"))
 
 TECHNIQUES = ("provenance", "value", "type")
 
-#: SynthesisConfig fields a sweep-level config overrides on each task's own
-#: config.  Execution knobs only: a task's *search space* (operator pools,
-#: constants, key/sort limits, …) is part of the benchmark definition and
-#: never overridden by a sweep.
-EXEC_OVERRIDES = ("timeout_s", "max_visited", "backend", "workers",
-                  "parallel_executor")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Budgets (and evaluation backend) for one experiment sweep.
+    """Budgets for one experiment sweep.
 
     The difficulty-dependent timeout is the one thing a flat
-    :class:`~repro.synthesis.config.SynthesisConfig` cannot express —
-    everything else here maps directly onto config fields, and
-    ``run_task``/``run_suite`` also accept a ``SynthesisConfig`` whose
-    :data:`EXEC_OVERRIDES` fields then apply uniformly to every task.
+    :class:`~repro.synthesis.config.SynthesisConfig` cannot express; the
+    other fields map directly onto config fields.  A task's *search
+    space* (operator pools, constants, key/sort limits, …) is part of
+    the benchmark definition and never overridden by a sweep.
     """
 
     easy_timeout_s: float = DEFAULT_EASY_TIMEOUT
     hard_timeout_s: float = DEFAULT_HARD_TIMEOUT
     max_visited: int | None = None
-    backend: str | None = None      # None = each task's configured backend
     workers: int = 1                # shards searched concurrently per run
 
     def timeout_for(self, task: BenchmarkTask) -> float:
@@ -59,26 +50,11 @@ class RunConfig:
                 else self.hard_timeout_s)
 
 
-#: Defaults a sweep-level SynthesisConfig leaves alone: an EXEC_OVERRIDES
-#: field still at its dataclass default is treated as "not specified" and
-#: keeps the task's own value (mirroring RunConfig's None fields).
-_CONFIG_DEFAULTS = SynthesisConfig()
-
-
-def task_config(task: BenchmarkTask,
-                run_config: "RunConfig | SynthesisConfig") -> SynthesisConfig:
+def task_config(task: BenchmarkTask, run_config: RunConfig) -> SynthesisConfig:
     """The effective per-task SynthesisConfig for one sweep run."""
-    if isinstance(run_config, SynthesisConfig):
-        overrides = {
-            name: getattr(run_config, name) for name in EXEC_OVERRIDES
-            if getattr(run_config, name) != getattr(_CONFIG_DEFAULTS, name)}
-        return task.config.replace(**overrides) if overrides else task.config
-    overrides = dict(timeout_s=run_config.timeout_for(task),
-                     max_visited=run_config.max_visited,
-                     workers=run_config.workers)
-    if run_config.backend is not None:
-        overrides["backend"] = run_config.backend
-    return task.config.replace(**overrides)
+    return task.config.replace(timeout_s=run_config.timeout_for(task),
+                               max_visited=run_config.max_visited,
+                               workers=run_config.workers)
 
 
 @dataclass
@@ -98,7 +74,6 @@ class TaskResult:
     timed_out: bool
     rank: int | None            # size-rank of q_gt among consistent queries
     demo_cells: int
-    backend: str = ""           # evaluation backend that produced this run
     workers: int = 1            # parallel shards the run was searched with
     # Engine cache traffic for the run (summed over workers when sharded).
     engine_concrete_evals: int = 0
@@ -120,14 +95,8 @@ class TaskResult:
 
 
 def run_task(task: BenchmarkTask, technique: str = "provenance",
-             run_config: RunConfig | SynthesisConfig | None = None,
-             ) -> TaskResult:
-    """Run one technique on one task until q_gt is found or timeout.
-
-    ``run_config`` is a :class:`RunConfig` (difficulty-dependent budgets)
-    or a :class:`~repro.synthesis.config.SynthesisConfig` whose execution
-    fields (:data:`EXEC_OVERRIDES`) apply on top of the task's own config.
-    """
+             run_config: RunConfig | None = None) -> TaskResult:
+    """Run one technique on one task until q_gt is found or timeout."""
     config = task_config(task, run_config if run_config is not None
                          else RunConfig())
     synthesizer = Synthesizer(technique, config)
@@ -155,7 +124,7 @@ def run_task(task: BenchmarkTask, technique: str = "provenance",
         concrete_checked=stats.concrete_checked,
         consistent_found=stats.consistent_found, timed_out=stats.timed_out,
         rank=rank, demo_cells=task.demonstration.size,
-        backend=synthesizer.engine.name, workers=result.workers,
+        workers=result.workers,
         engine_concrete_evals=engine_stats.concrete_evals,
         engine_concrete_hits=engine_stats.concrete_hits,
         engine_tracking_evals=engine_stats.tracking_evals,
@@ -168,12 +137,9 @@ def run_task(task: BenchmarkTask, technique: str = "provenance",
 
 
 def run_suite(tasks, techniques=TECHNIQUES,
-              run_config: RunConfig | SynthesisConfig | None = None,
+              run_config: RunConfig | None = None,
               progress=None) -> list[TaskResult]:
-    """Run a technique sweep over a task list.
-
-    Accepts the same config forms as :func:`run_task`.
-    """
+    """Run a technique sweep over a task list."""
     results: list[TaskResult] = []
     for task in tasks:
         for technique in techniques:

@@ -31,7 +31,7 @@ def count_search_space(env: Env, config: SynthesisConfig,
     """
     from repro.engine.base import make_engine
     deadline = Deadline(timeout_s)
-    engine = make_engine(config.backend)  # one cache for the whole count
+    engine = make_engine()  # one cache for the whole count
     total = 0
     stack = list(construct_skeletons(env, config))
     while stack:

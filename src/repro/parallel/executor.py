@@ -130,29 +130,26 @@ def run_payloads(payloads, env, demo, config, abstraction_spec: str,
     return outcomes
 
 
-def pick_context(methods=None, start_method: str | None = None):
+def pick_context():
     """The multiprocessing context for worker processes.
 
     fork inherits the payload (tables, demo, closures) for free; spawn is
-    the portable fallback and needs every argument picklable.  An explicit
-    ``start_method`` wins (the serving pool's differential tests
-    parametrize it); otherwise ``REPRO_START_METHOD`` forces a method (the
-    CI spawn job runs the differential suite under it) when the platform
-    supports it.  Shared by the shard executor and the serving pool's
-    process backend so both tiers resolve the method identically.
+    the portable fallback and needs every argument picklable.
+    ``REPRO_START_METHOD`` (the CI matrix hook) forces a method, and an
+    unknown or unsupported one raises.  Shared by the shard executor and
+    the serving pool's process backend, so a pool and the shards its
+    workers fan out to always start the same way.
     """
-    if methods is None:
-        methods = multiprocessing.get_all_start_methods()
-    if start_method is not None:
-        if start_method not in methods:
-            raise ValueError(f"start method {start_method!r} not supported "
-                             f"here (have {sorted(methods)})")
-        return multiprocessing.get_context(start_method)
+    methods = multiprocessing.get_all_start_methods()
     forced = os.environ.get("REPRO_START_METHOD", "").strip().lower()
-    if forced in methods:
-        return multiprocessing.get_context(forced)
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
+    if not forced:
+        return multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
+    if forced not in methods:
+        raise ValueError(f"REPRO_START_METHOD={forced!r} is not a start "
+                         f"method this platform supports; choose from "
+                         f"{sorted(methods)}")
+    return multiprocessing.get_context(forced)
 
 
 def _run_processes(payloads, env, demo, config, abstraction_spec,

@@ -69,12 +69,6 @@ class Demonstration:
                 out |= refs_of(expr)
         return out
 
-    def column_refs(self, j: int) -> frozenset[CellRef]:
-        out: frozenset[CellRef] = frozenset()
-        for row in self.cells:
-            out |= refs_of(row[j])
-        return out
-
     def is_partial(self) -> bool:
         """True when any cell contains an ``f♦`` application."""
 

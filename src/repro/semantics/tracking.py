@@ -53,9 +53,6 @@ class TrackedTable:
         """``[[T★]]`` — evaluate every cell (paper §3.1)."""
         return Table.from_rows(name, self.columns, self.values)
 
-    def expr_rows(self) -> tuple[tuple[Expr, ...], ...]:
-        return self.exprs
-
 
 def evaluate_tracking(query: ast.Query, env: ast.Env,
                       cache: MutableMapping | None = None) -> TrackedTable:

@@ -116,12 +116,6 @@ _CANCEL_SLOTS = 256
 _ENV_MEMO_SIZE = 64
 
 
-def check_positive(name: str, value: float | None) -> None:
-    """Reject a non-positive interval; ``None`` means "off"."""
-    if value is not None and value <= 0:
-        raise ValueError(f"{name} must be positive or None")
-
-
 def resolve_pool_backend(backend: str | None = None, size: int = 1) -> str:
     """Resolve a backend request to ``"threads"`` or ``"processes"``.
 
@@ -144,12 +138,12 @@ def warm_key(config: SynthesisConfig, technique: str) -> tuple:
     """The identity of one warm engine+abstraction pair.
 
     Exactly the configuration fields that select or parameterize
-    evaluation state: the backend, the technique name, and the
-    abstraction knobs ``build_abstraction`` consumes.  Everything else
-    (budgets, search-space knobs) rides in the session and never
-    fragments the warm cache.
+    evaluation state: the technique name and the abstraction knobs
+    ``build_abstraction`` consumes.  Everything else (budgets,
+    search-space knobs) rides in the session and never fragments the
+    warm cache.
     """
-    return (config.backend, technique,
+    return (technique,
             config.target_refinement, config.value_shadow,
             config.head_typing)
 
@@ -252,7 +246,7 @@ class _SessionHost:
         key = warm_key(config, technique)
         pair = self._warm.get(key)
         if pair is None:
-            engine = make_engine(config.backend)
+            engine = make_engine()
             abstraction = build_abstraction(technique, config)
             abstraction.bind_engine(engine)
             pair = (engine, abstraction)
@@ -671,19 +665,13 @@ class ProcessBackend(PoolBackend):
     name = "processes"
 
     def __init__(self, size: int, dispatch: Callable[[SliceOutcome], None],
-                 start_method: str | None = None,
                  faults: FaultPlan | None = None) -> None:
         self._dispatch = dispatch
         self._faults = faults
-        self._ctx = pick_context(start_method=start_method)
+        self._ctx = pick_context()
         # The slots cross into pool workers and on into their shard
-        # processes, which start with pick_context()'s method; a lock made
-        # under fork cannot be handed to a spawned process, so it is made
-        # under the other method when the two differ.
-        limits_ctx = self._ctx if self._ctx.get_start_method() != "fork" \
-            else pick_context()
-        self._cancel_limits = limits_ctx.Array("q",
-                                               [NO_LIMIT] * _CANCEL_SLOTS)
+        # processes, which start with the same method.
+        self._cancel_limits = self._ctx.Array("q", [NO_LIMIT] * _CANCEL_SLOTS)
         self._results = self._ctx.SimpleQueue()
         self._jobs = [self._ctx.SimpleQueue() for _ in range(size)]
         self._incarnations = [0] * size
@@ -873,14 +861,10 @@ class WorkerPool:
     """
 
     def __init__(self, size: int = 2, backend: str | None = None,
-                 start_method: str | None = None,
                  faults: FaultPlan | None = None,
-                 slice_timeout_s: float | None = None,
-                 supervise_interval_s: float | None = SUPERVISE_INTERVAL_S,
-                 ) -> None:
+                 slice_timeout_s: float | None = None) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        check_positive("supervise_interval_s", supervise_interval_s)
         self.backend_name = resolve_pool_backend(backend, size)
         self.faults = faults if faults is not None else plan_from_env()
         self._size = size
@@ -902,14 +886,12 @@ class WorkerPool:
                 size, self._on_outcome, faults=self.faults)
         else:
             self._backend = ProcessBackend(
-                size, self._on_outcome, start_method, faults=self.faults)
+                size, self._on_outcome, faults=self.faults)
         self._stop_supervisor = threading.Event()
-        self._supervisor: threading.Thread | None = None
-        if supervise_interval_s is not None:
-            self._supervisor = threading.Thread(
-                target=self._supervise, args=(supervise_interval_s,),
-                name="repro-serve-supervisor", daemon=True)
-            self._supervisor.start()
+        self._supervisor = threading.Thread(
+            target=self._supervise, name="repro-serve-supervisor",
+            daemon=True)
+        self._supervisor.start()
         atexit.register(self._atexit_close)
 
     @property
@@ -1021,8 +1003,8 @@ class WorkerPool:
         with self._lock:
             return set(self._down)
 
-    def _supervise(self, interval_s: float) -> None:
-        while not self._stop_supervisor.wait(interval_s):
+    def _supervise(self) -> None:
+        while not self._stop_supervisor.wait(SUPERVISE_INTERVAL_S):
             try:
                 self._sweep_failures()
             except Exception:       # pragma: no cover - supervisor guard
@@ -1238,10 +1220,9 @@ class WorkerPool:
                 return
             self._closed = True
         self._stop_supervisor.set()
-        if self._supervisor is not None:
-            # Joined before backend teardown so a restart in flight
-            # cannot spawn a worker into a closing pool.
-            self._supervisor.join(timeout=timeout_s)
+        # Joined before backend teardown so a restart in flight cannot
+        # spawn a worker into a closing pool.
+        self._supervisor.join(timeout=timeout_s)
         atexit.unregister(self._atexit_close)
         stuck = self._backend.close(timeout_s)
         if stuck:

@@ -78,15 +78,8 @@ from dataclasses import dataclass
 from repro.lang import ast
 from repro.provenance.demo import Demonstration
 from repro.serve.faults import FaultPlan
-from repro.serve.pool import (
-    SUPERVISE_INTERVAL_S,
-    WORKER_DIED,
-    SliceOutcome,
-    WorkerPool,
-    check_positive,
-    warm_key,
-)
-from repro.synthesis.config import SynthesisConfig
+from repro.serve.pool import WORKER_DIED, SliceOutcome, WorkerPool, warm_key
+from repro.synthesis.config import SynthesisConfig, check_int, check_seconds
 from repro.synthesis.enumerator import SynthesisResult
 from repro.synthesis.session import SynthesisSession
 from repro.synthesis.stop import StopSpec, as_stop_spec
@@ -138,26 +131,14 @@ class ServiceConfig:
     pool_backend: str | None = None  # threads|processes|None ("auto")
     max_retries: int = 2        # checkpoint replays per request
     slice_timeout_s: float | None = None  # hang detection (off by default)
-    supervise_interval_s: float | None = SUPERVISE_INTERVAL_S
     faults: FaultPlan | None = None       # deterministic chaos (tests)
 
     def __post_init__(self) -> None:
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
-        if self.max_requests < 1:
-            raise ValueError("max_requests must be >= 1")
-        if self.slice_pops < 1:
-            raise ValueError("slice_pops must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        check_positive("slice_timeout_s", self.slice_timeout_s)
-        check_positive("supervise_interval_s", self.supervise_interval_s)
-        _check_timeout("default_timeout_s", self.default_timeout_s)
-
-
-def _check_timeout(name: str, value: float | None) -> None:
-    if value is not None and value < 0:
-        raise ValueError(f"{name} must be >= 0 or None")
+        for name, minimum in (("pool_size", 1), ("max_requests", 1),
+                              ("slice_pops", 1), ("max_retries", 0)):
+            check_int(name, getattr(self, name), minimum)
+        check_seconds("slice_timeout_s", self.slice_timeout_s, positive=True)
+        check_seconds("default_timeout_s", self.default_timeout_s)
 
 
 class _Request:
@@ -254,9 +235,7 @@ class SynthesisService:
             else WorkerPool(self.config.pool_size,
                             backend=self.config.pool_backend,
                             faults=self.config.faults,
-                            slice_timeout_s=self.config.slice_timeout_s,
-                            supervise_interval_s=self.config
-                            .supervise_interval_s)
+                            slice_timeout_s=self.config.slice_timeout_s)
         self._own_pool = pool is None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._live: set[_Request] = set()
@@ -326,7 +305,7 @@ class SynthesisService:
                 f"{len(self._live)} live requests (bound "
                 f"{self.config.max_requests}); retry later",
                 retry_after_s=round(min(5.0, 0.05 + 0.02 * backlog), 3))
-        _check_timeout("timeout_s", timeout_s)
+        check_seconds("timeout_s", timeout_s)
         cfg = config or SynthesisConfig()
         session = SynthesisSession(tables, demo, cfg, abstraction=technique,
                                    stop=as_stop_spec(stop))

@@ -11,11 +11,13 @@ depth-first within a lane (:class:`repro.synthesis.enumerator._Worklist`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.lang.functions import (
     AGGREGATE_FUNCTIONS,
     ANALYTIC_FUNCTIONS,
+    ANALYTIC_SPECS,
     ARITHMETIC_FUNCTIONS,
 )
 from repro.table.values import Value
@@ -28,6 +30,28 @@ ALL_OPERATORS: tuple[str, ...] = (
     "group", "partition", "arithmetic", "filter", "sort", "proj")
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Reject a non-``int`` (``bool`` included) or a value below ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_seconds(name: str, value, positive: bool = False) -> None:
+    """Reject a duration that is not a finite number >= 0 (> 0 when
+    ``positive``); ``None`` means unbounded or off."""
+    if value is None:
+        return
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a number of seconds or None, got "
+                        f"{type(value).__name__}")
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, or None; "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthesisConfig:
     """All search-space and budget knobs in one immutable bundle."""
@@ -37,12 +61,6 @@ class SynthesisConfig:
     top_n: int = 10                 # stop after N consistent queries
     timeout_s: float | None = None  # wall-clock budget (None = unbounded)
     max_visited: int | None = None  # visited-query budget (None = unbounded)
-
-    # Evaluation backend (repro.engine): "columnar" (default) evaluates over
-    # column-major blocks with structural-key subtree caching; "row" is the
-    # row-at-a-time tree interpreter.  Both produce identical results — the
-    # knob trades evaluation strategy, never search behavior.
-    backend: str = "columnar"
 
     # --- parallel search ---------------------------------------------------
     # Number of shards searched concurrently (repro.parallel).  1 (default)
@@ -83,24 +101,19 @@ class SynthesisConfig:
         unknown = set(self.operator_pool) - set(ALL_OPERATORS)
         if unknown:
             raise ValueError(f"unknown operators in pool: {sorted(unknown)}")
-        if self.max_operators < 1:
-            raise ValueError("max_operators must be >= 1")
-        for name in ("timeout_s", "max_visited", "max_key_cols",
-                     "max_sort_cols"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        from repro.engine.base import BACKENDS
-
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
-            raise TypeError(
-                f"workers must be an int, got {type(self.workers).__name__}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name, minimum in (("max_operators", 1), ("top_n", 1),
+                              ("workers", 1), ("max_key_cols", 0),
+                              ("max_sort_cols", 0)):
+            check_int(name, getattr(self, name), minimum)
+        if self.max_visited is not None:
+            check_int("max_visited", self.max_visited, 0)
+        check_seconds("timeout_s", self.timeout_s)
+        for name, registry in (("aggregate_functions", AGGREGATE_FUNCTIONS),
+                               ("analytic_functions", ANALYTIC_SPECS),
+                               ("arithmetic_functions", ARITHMETIC_FUNCTIONS)):
+            unknown = set(getattr(self, name)) - set(registry)
+            if unknown:
+                raise ValueError(f"unknown {name}: {sorted(unknown)}")
         if self.parallel_executor not in ("process", "serial"):
             raise ValueError(
                 f"unknown parallel_executor {self.parallel_executor!r}")

@@ -44,8 +44,9 @@ a small lifecycle API:
     round 0; a shard that stops on a hit or ``top_n`` proposes its round.
 
 Engine accounting.  A session evaluates through whatever engine is
-attached (:meth:`attach_engine`) — its own fresh one by default, or a
-*warm* engine handed over by a :mod:`repro.serve` pool worker.  Because a
+attached (:meth:`attach_engine`) — its own fresh columnar one by default,
+the row reference when one is injected, or a *warm* engine handed over
+by a :mod:`repro.serve` pool worker.  Because a
 warm engine's lifetime counters include other sessions' traffic, the
 session records a baseline snapshot at attach time and reports only the
 delta, folding it into an accumulated base whenever the engine is swapped
@@ -86,7 +87,7 @@ from repro.util.timer import Deadline, Stopwatch
 
 #: Checkpoint format version; bumped whenever the pickled state layout
 #: changes so a stale blob fails loudly instead of resuming garbage.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Session lifecycle phases.
 NEW = "new"          # constructed; lanes not seeded yet
@@ -429,7 +430,7 @@ class SynthesisSession:
 
     def _ensure_runtime(self) -> None:
         if self._engine is None:
-            self.attach_engine(make_engine(self.config.backend))
+            self.attach_engine(make_engine())
         if self._stop_built is None and self.stop_spec is not None:
             self._stop_built = self.stop_spec.build(self._engine, self.env)
 

@@ -6,7 +6,8 @@ abstraction, run Algorithm 1, and return ranked consistent queries.  The
 (keeps the abstraction object and clears its caches between tasks).
 
 Each :class:`Synthesizer` owns its own :class:`~repro.engine.base.EvalEngine`
-(selected by ``config.backend``), and the abstraction is bound to it — every
+(columnar unless one is injected, e.g. ``engine=make_engine("row")`` for
+the reference interpreter), and the abstraction is bound to it — every
 byte of evaluation state is scoped to this instance, so independent
 synthesizers can run interleaved (or on separate threads) without sharing
 or clobbering caches.  :meth:`Synthesizer.reset` is correspondingly
@@ -59,12 +60,7 @@ class Synthesizer:
                  config: SynthesisConfig | None = None,
                  engine: EvalEngine | None = None) -> None:
         self.config = config or SynthesisConfig()
-        if engine is not None and engine.name != self.config.backend:
-            # An explicitly supplied engine defines the session backend —
-            # keep the config coherent so run() never mistakes the
-            # constructor-level choice for a per-run override.
-            self.config = self.config.replace(backend=engine.name)
-        self.engine = engine or make_engine(self.config.backend)
+        self.engine = engine or make_engine()
         self._engine_supplied = engine is not None
         #: The technique name when known — sharded workers rebuild the
         #: abstraction from it (a bound Abstraction object cannot cross a
@@ -77,25 +73,17 @@ class Synthesizer:
     def run(self, tables: Sequence[Table], demo: Demonstration,
             stop_predicate: Callable[[Query], bool] | StopSpec | None = None,
             config: SynthesisConfig | None = None) -> SynthesisResult:
-        session = self.session(tables, demo, stop_predicate, config)
-        try:
-            return session.run()
-        finally:
-            # A per-run backend override evaluated on a temporary engine;
-            # rebind the technique to the synthesizer's own for next run.
-            self.abstraction.bind_engine(self.engine)
+        return self.session(tables, demo, stop_predicate, config).run()
 
     def session(self, tables: Sequence[Table] | Env, demo: Demonstration,
                 stop: Callable[[Query], bool] | StopSpec | None = None,
                 config: SynthesisConfig | None = None) -> SynthesisSession:
         """Open a resumable :class:`SynthesisSession` on this synthesizer.
 
-        A serial session evaluates through this synthesizer's engine (so
-        repeated sessions over the same tables reuse warm caches) — unless
-        ``config`` overrides the backend, in which case the session gets a
-        fresh engine of the requested kind and the synthesizer's own is
-        untouched.  A ``workers > 1`` session dispatches to shard workers
-        at ``run`` time, each building its own engine from the config.
+        A serial session evaluates through this synthesizer's engine, so
+        repeated sessions over the same tables reuse warm caches.  A
+        ``workers > 1`` session dispatches to shard workers at ``run``
+        time, each building its own columnar engine.
         """
         env = tables if isinstance(tables, Env) else Env(tuple(tables))
         cfg = config or self.config
@@ -112,16 +100,10 @@ class Synthesizer:
             if self._engine_supplied:
                 raise ValueError(
                     "workers > 1 cannot use an explicitly supplied engine — "
-                    "each worker builds its own from config.backend; drop "
-                    "the engine argument (or set backend) instead")
+                    "each worker builds its own columnar engine; drop the "
+                    "engine argument instead")
             return session
-        engine = self.engine
-        if cfg.backend != engine.name:
-            # Honor a per-run backend override: this session evaluates on a
-            # fresh engine of the requested kind (session caches stay with
-            # the synthesizer's own engine).
-            engine = make_engine(cfg.backend)
-        session.attach_engine(engine, self.abstraction)
+        session.attach_engine(self.engine, self.abstraction)
         return session
 
     def reset(self) -> None:
@@ -152,7 +134,6 @@ def synthesize(tables: Sequence[Table], demo: Demonstration,
         :class:`~repro.abstraction.base.Abstraction`.
     config:
         Search-space and budget knobs; see :class:`SynthesisConfig`.
-        ``config.backend`` selects the evaluation engine;
         ``config.workers`` shards the search across that many workers.
     stop_predicate:
         Optional: stop as soon as a consistent query satisfies it.  Either

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.errors import TableError
 from repro.table.schema import Schema, infer_type
-from repro.table.values import Value, canonical, row_eq, value_eq
+from repro.table.values import Value, canonical, row_eq
 
 
 @dataclass(frozen=True, eq=True)
@@ -72,9 +72,6 @@ class Table:
                         primary_key=tuple(primary_key),
                         foreign_keys=tuple(foreign_keys))
         return Table(name, schema, row_tuples)
-
-    def with_name(self, name: str) -> "Table":
-        return Table(name, self.schema, self.rows)
 
     # ------------------------------------------------------------ inspection
     @property
@@ -165,23 +162,6 @@ class Table:
             else:
                 return False
         return True
-
-    def contains_rows(self, other: "Table") -> bool:
-        """True when ``other``'s rows embed injectively into this table's."""
-        if self.n_cols != other.n_cols or other.n_rows > self.n_rows:
-            return False
-        used = [False] * self.n_rows
-        for row in other.rows:
-            for j, mine in enumerate(self.rows):
-                if not used[j] and row_eq(list(row), list(mine)):
-                    used[j] = True
-                    break
-            else:
-                return False
-        return True
-
-    def contains_cell_value(self, value: Value) -> bool:
-        return any(value_eq(cell, value) for row in self.rows for cell in row)
 
     # --------------------------------------------------------------- display
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,6 +1,6 @@
 """Generative cross-backend differential harness.
 
-The repo's core guarantee — the ``backend`` knob trades evaluation
+The repo's core guarantee — the choice of engine trades evaluation
 strategy, never results — cannot be held by hand-picked cases alone.
 This harness draws seeded random query plans over seeded random tables
 from :mod:`repro.oracle.fuzz`'s backend profile (mixed dtypes, ``None``

@@ -20,14 +20,14 @@ from repro.engine import (
 from repro.engine.columns import (
     arithmetic_block,
     cross_join,
-    filter_block,
+    filter_indices,
     group_block,
-    join_blocks,
-    left_join_blocks,
+    join_pairs,
+    left_join_pairs,
     partition_block,
     predicate_mask,
     select_columns,
-    sort_block,
+    sort_indices,
 )
 from repro.errors import HoleError
 from repro.lang import (
@@ -106,7 +106,7 @@ class TestMakeEngine:
         from repro.experiments.cli import main
         from repro.synthesis.config import SynthesisConfig
 
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(TypeError, match="backend"):
             SynthesisConfig(backend="numpy")
         with pytest.raises(ValueError, match="unknown engine backend"):
             make_engine("numpy")
@@ -275,8 +275,10 @@ class TestColumnBlockKernels:
             assert mask == [pred.evaluate(r) for r in table.rows]
 
     def test_filter_all_pass_reuses_block(self, table):
+        # None tells the engine to share the input block outright.
         block = self._block(table)
-        assert filter_block(block, TruePred()) is block
+        assert filter_indices(block, TruePred()) is None
+        assert filter_indices(block, ConstCmp(2, ">=", 20)) == [1, 2, 3]
 
     def test_cross_join_order(self):
         left = ColumnBlock([[1, 2]], 2)
@@ -285,22 +287,25 @@ class TestColumnBlockKernels:
         assert crossed.row_tuples() == [(1, "x"), (1, "y"), (2, "x"), (2, "y")]
 
     def test_join_blocks_pred_none_is_cross(self):
+        # An always-true join pairs rows in cross_join's nested-loop order.
         left = ColumnBlock([[1, 2]], 2)
-        right = ColumnBlock([["x"]], 1)
-        assert join_blocks(left, right, None).row_tuples() == \
-            cross_join(left, right).row_tuples()
+        right = ColumnBlock([["x", "y"]], 2)
+        assert join_pairs(left, right, TruePred()) == \
+            [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert cross_join(left, right).row_tuples() == \
+            [(1, "x"), (1, "y"), (2, "x"), (2, "y")]
 
     def test_left_join_pads_unmatched(self):
         left = ColumnBlock([[1, 2, 3]], 3)
         right = ColumnBlock([[2, 3], ["b", "c"]], 2)
-        out = left_join_blocks(left, right, ColCmp(0, "==", 1))
-        assert out.row_tuples() == [(1, None, None), (2, 2, "b"), (3, 3, "c")]
+        pairs = left_join_pairs(left, right, ColCmp(0, "==", 1))
+        assert pairs == [(0, None), (1, 0), (2, 1)]
 
     def test_sort_block_is_stable(self, table):
         block = self._block(table)
-        out = sort_block(block, (0,), ascending=True)
+        order = sort_indices(block, (0,), ascending=True)
         # Ties on "A" keep original relative order (stable sort).
-        assert [r[2] for r in out.row_tuples()] == [10, 20, 5, 30, 40]
+        assert [block.columns[2][i] for i in order] == [10, 20, 5, 30, 40]
 
     def test_group_block_first_occurrence_order(self, table):
         block = self._block(table)
@@ -448,22 +453,21 @@ class TestSessionEngineContracts:
                         engine=engine)
         s.run(task.tables, task.demonstration)
         assert s.engine is engine
-        assert s.config.backend == "row"
         assert engine.stats.concrete_evals + engine.stats.tracking_evals > 0
 
     def test_backend_override_keeps_session_state(self):
+        """A session that swaps in the row reference leaves the
+        synthesizer's own engine and session analyzer in place."""
         from repro.synthesis.synthesizer import Synthesizer
         task = self._task()
-        s = Synthesizer("provenance",
-                        task.config.replace(backend="columnar",
-                                            max_visited=100))
+        s = Synthesizer("provenance", task.config.replace(max_visited=100))
         base = s.run(task.tables, task.demonstration)
         session_analyzer = s.abstraction.analyzer
         for _ in range(8):   # repeated overrides must not leak analyzers
-            override = s.run(task.tables, task.demonstration,
-                             config=task.config.replace(backend="row",
-                                                        max_visited=100))
-            assert override.queries == base.queries
+            session = s.session(task.tables, task.demonstration)
+            session.attach_engine(make_engine("row"))
+            assert session.run().queries == base.queries
+        assert s.run(task.tables, task.demonstration).queries == base.queries
         assert s.engine.name == "columnar"
         assert s.abstraction.analyzer is session_analyzer
         assert len(s.abstraction._analyzers) <= 4

@@ -1,8 +1,8 @@
 """Differential backend tests.
 
-The ``backend`` knob must trade evaluation strategy only — never results.
-Every task in the benchmark registry runs through ``RowEngine`` and
-``ColumnarEngine``; ranked queries and the search counters the paper
+The engine a synthesizer evaluates through trades evaluation strategy
+only — never results.  Every task in the benchmark registry runs through
+an injected ``RowEngine`` and ``ColumnarEngine``; ranked queries and the search counters the paper
 reports (``pruned`` / ``visited``) must match exactly.
 
 Each backend is also held to itself on every task: batched evaluation
@@ -74,9 +74,9 @@ def without_first_rows(env):
 
 
 def _run(task, backend: str):
-    config = task.config.replace(backend=backend, timeout_s=None,
-                                 max_visited=VISITED_BUDGET)
-    synthesizer = Synthesizer("provenance", config)
+    config = task.config.replace(timeout_s=None, max_visited=VISITED_BUDGET)
+    synthesizer = Synthesizer("provenance", config,
+                              engine=make_engine(backend))
     assert synthesizer.engine.name == backend
     return synthesizer.run(task.tables, task.demonstration)
 
@@ -160,14 +160,11 @@ def test_interleaved_sessions_do_not_share_state():
     task_a, task_b = TASKS[0], TASKS[1]
     config = {"timeout_s": None, "max_visited": 200}
 
-    solo = Synthesizer("provenance",
-                       task_a.config.replace(backend="columnar", **config))
+    solo = Synthesizer("provenance", task_a.config.replace(**config))
     solo_result = solo.run(task_a.tables, task_a.demonstration)
 
-    a = Synthesizer("provenance",
-                    task_a.config.replace(backend="columnar", **config))
-    b = Synthesizer("provenance",
-                    task_b.config.replace(backend="columnar", **config))
+    a = Synthesizer("provenance", task_a.config.replace(**config))
+    b = Synthesizer("provenance", task_b.config.replace(**config))
     b.run(task_b.tables, task_b.demonstration)
     b.reset()                      # must not touch a's caches
     a_result = a.run(task_a.tables, task_a.demonstration)

@@ -13,6 +13,7 @@ import multiprocessing
 
 import pytest
 
+import repro.serve.pool as pool_module
 from repro.benchmarks import all_tasks
 from repro.serve import (
     FaultInjector,
@@ -65,11 +66,16 @@ def _assert_identical(reference, result):
     assert result.target == reference.target
 
 
+@pytest.fixture(autouse=True)
+def fast_supervisor(monkeypatch):
+    """Sweep for failures every 0.02 s so the chaos legs stay quick."""
+    monkeypatch.setattr(pool_module, "SUPERVISE_INTERVAL_S", 0.02)
+
+
 def _chaos_config(plan, *, backend="processes", max_retries=4,
                   slice_timeout_s=None, **overrides):
     return ServiceConfig(pool_size=1, pool_backend=backend, slice_pops=50,
                          max_retries=max_retries,
-                         supervise_interval_s=0.02,
                          slice_timeout_s=slice_timeout_s, faults=plan,
                          **overrides)
 
@@ -188,18 +194,18 @@ def test_recovery_is_transparent_under_injected_faults(mode):
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
-def test_recovery_differential_fork_and_spawn(start_method):
+def test_recovery_differential_fork_and_spawn(start_method, monkeypatch):
     """The crash-free and crashed runs agree under both start methods
     (spawn re-imports everything; fork inherits — recovery must be
     correct either way)."""
+    monkeypatch.setenv("REPRO_START_METHOD", start_method)
     plan = FaultPlan(seed=9, crash_mid=1.0)
 
     async def main():
         config = _config(SHARED)
         stop = GroundTruthStop(SHARED.ground_truth)
         reference = _reference(SHARED, config, stop)
-        pool = WorkerPool(1, backend="processes", start_method=start_method,
-                          faults=plan, supervise_interval_s=0.02)
+        pool = WorkerPool(1, backend="processes", faults=plan)
         try:
             svc_cfg = ServiceConfig(pool_size=1, slice_pops=50,
                                     max_retries=4)

@@ -181,7 +181,7 @@ class TestSpaceCounter:
         env = Env.of(tiny_table)
         config = SynthesisConfig(max_operators=2,
                                  operator_pool=("group", "arithmetic"))
-        engine = make_engine(config.backend)
+        engine = make_engine()
         naive, stack = 0, list(construct_skeletons(env, config))
         while stack:
             query = stack.pop()

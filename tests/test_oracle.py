@@ -137,10 +137,11 @@ _RANKED: dict = {}
 
 def _ranked_queries(task):
     if task.name not in _RANKED:
-        config = task.config.replace(backend="row", timeout_s=None,
+        config = task.config.replace(timeout_s=None,
                                      max_visited=VISITED_BUDGET)
-        result = Synthesizer("provenance", config).run(task.tables,
-                                                       task.demonstration)
+        result = Synthesizer("provenance", config,
+                             engine=RowEngine()).run(
+            task.tables, task.demonstration)
         _RANKED[task.name] = list(result.queries)[:RANKED_CAP]
     return _RANKED[task.name]
 

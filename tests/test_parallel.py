@@ -25,6 +25,7 @@ from repro.parallel import (
     plan_lanes,
     run_shard,
 )
+from repro.parallel.executor import pick_context
 from repro.synthesis import (
     CallableStop,
     GroundTruthStop,
@@ -203,6 +204,27 @@ class TestParallelConfig:
         with pytest.raises(TypeError, match="workers"):
             SynthesisConfig(workers=workers)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("max_key_cols", None, TypeError),
+        ("max_operators", 2.5, TypeError),
+        ("max_operators", 0, ValueError),
+        ("top_n", 2.5, TypeError),
+        ("top_n", True, TypeError),
+        ("max_sort_cols", 1.0, TypeError),
+        ("max_visited", 10.5, TypeError),
+        ("timeout_s", float("nan"), ValueError),
+        ("timeout_s", float("inf"), ValueError),
+        ("timeout_s", "5", TypeError),
+        ("aggregate_functions", ("sum", "bogus"), ValueError),
+        ("analytic_functions", ("cumbogus",), ValueError),
+        ("arithmetic_functions", ("sum",), ValueError),
+    ])
+    def test_rejects_bad_values_at_construction(self, field, value, error):
+        """A mistyped knob or an unknown function name fails when the
+        config is built, not mid-search."""
+        with pytest.raises(error, match=field):
+            SynthesisConfig(**{field: value})
+
     def test_rejects_unknown_executor(self):
         for executor in ("gpu", "thread"):
             with pytest.raises(ValueError):
@@ -292,6 +314,30 @@ class TestCancelToken:
         assert proc.exitcode == 0
         assert token.limit() == 5
         assert CancelToken(token._limits, slot=0).limit() == NO_LIMIT
+
+
+class TestStartMethod:
+    """``REPRO_START_METHOD`` is the one start-method selector."""
+
+    def test_forced_method_is_used(self, monkeypatch):
+        for method in multiprocessing.get_all_start_methods():
+            monkeypatch.setenv("REPRO_START_METHOD", method.upper())
+            assert pick_context().get_start_method() == method
+
+    def test_unset_prefers_fork(self, monkeypatch):
+        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
+        expected = "fork" if "fork" in multiprocessing.get_all_start_methods() \
+            else "spawn"
+        assert pick_context().get_start_method() == expected
+
+    @pytest.mark.parametrize("value", ["spwan", "threads"])
+    def test_unknown_method_fails_loudly(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_START_METHOD", value)
+        with pytest.raises(ValueError, match=f"{value}.*choose from"):
+            pick_context()
+        # Every process the program starts resolves through it.
+        with pytest.raises(ValueError, match="REPRO_START_METHOD"):
+            CancelToken()
 
 
 def _dealt_shards(task, workers, budget):

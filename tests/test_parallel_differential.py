@@ -19,6 +19,7 @@ import multiprocessing
 import pytest
 
 from repro.benchmarks import all_tasks
+from repro.engine import make_engine
 from repro.synthesis import GroundTruthStop, Synthesizer
 
 #: Mirrors the engine differential budget: enough to cross several
@@ -113,10 +114,13 @@ def test_result_invariant_across_worker_counts():
     serial = _run(task, workers=1)
     for workers in (2, 3, 7):
         _assert_identical(serial, _run(task, workers=workers))
-    # The backend and workers knobs compose: each shard process builds its
-    # engine from config.backend.
-    _assert_identical(serial, _run(task, workers=4, executor="process",
-                                   backend="row"))
+    # Columnar shard processes match the row reference run serially.
+    row_config = task.config.replace(timeout_s=None,
+                                     max_visited=VISITED_BUDGET)
+    row_serial = Synthesizer("provenance", row_config,
+                             engine=make_engine("row")).run(
+        task.tables, task.demonstration)
+    _assert_identical(row_serial, _run(task, workers=4, executor="process"))
 
 
 def test_sharded_respects_visited_budget():

@@ -94,23 +94,22 @@ def test_request_matches_uninterrupted_run():
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_differential_thread_vs_process_tiers(start_method):
+def test_differential_thread_vs_process_tiers(start_method, monkeypatch):
     """The tentpole differential: the same request set produces identical
     ranked queries and SearchStats on the thread-backed and the
     process-backed pool, under fork and spawn."""
     if start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} not supported here")
+    monkeypatch.setenv("REPRO_START_METHOD", start_method)
     requests = [
-        (EASY, _config(EASY, backend="columnar"),
-         GroundTruthStop(EASY.ground_truth)),
-        (SHARED, _config(SHARED, backend="columnar", top_n=5), None),
+        (EASY, _config(EASY), GroundTruthStop(EASY.ground_truth)),
+        (SHARED, _config(SHARED, top_n=5), None),
     ]
     references = [_reference(task, config, stop)
                   for task, config, stop in requests]
 
     async def tier(backend):
-        pool = WorkerPool(2, backend=backend, start_method=start_method
-                          if backend == "processes" else None)
+        pool = WorkerPool(2, backend=backend)
         svc_cfg = ServiceConfig(pool_size=2, slice_pops=40)
         async with SynthesisService(svc_cfg, pool=pool) as svc:
             handles = [svc.submit(task.tables, task.demonstration, config,
@@ -195,37 +194,50 @@ def test_submit_rejects_bad_technique_and_timeout():
     asyncio.run(main())
 
 
-@pytest.mark.parametrize("field, value", [
-    ("default_timeout_s", -5), ("supervise_interval_s", 0),
-    ("supervise_interval_s", -0.1)])
+@pytest.mark.parametrize("field, value", [("default_timeout_s", -5)])
 def test_service_config_rejects_bad_budgets(field, value):
     with pytest.raises(ValueError, match=field):
         ServiceConfig(**{field: value})
 
 
-@pytest.mark.parametrize("interval", (0, -0.1))
-def test_worker_pool_rejects_non_positive_supervise_interval(interval):
-    """A pool built directly refuses an interval that would silently
-    start no supervisor, as ``ServiceConfig`` does."""
-    with pytest.raises(ValueError, match="supervise_interval_s"):
-        WorkerPool(1, backend="threads", supervise_interval_s=interval)
+@pytest.mark.parametrize("field, value, error", [
+    ("pool_size", True, TypeError),
+    ("pool_size", 0, ValueError),
+    ("max_requests", 2.0, TypeError),
+    ("slice_pops", 2.5, TypeError),
+    ("max_retries", 1.5, TypeError),
+    ("max_retries", -1, ValueError),
+    ("slice_timeout_s", float("nan"), ValueError),
+    ("slice_timeout_s", 0, ValueError),
+    ("slice_timeout_s", "1", TypeError),
+    ("default_timeout_s", float("inf"), ValueError),
+    ("default_timeout_s", float("nan"), ValueError),
+])
+def test_service_config_rejects_bad_values_at_construction(field, value,
+                                                           error):
+    """A mistyped or non-finite knob fails when the config is built, not
+    later inside the pool or a request."""
+    with pytest.raises(error, match=field):
+        ServiceConfig(**{field: value})
 
 
-def test_worker_pool_none_supervise_interval_runs_no_supervisor():
-    pool = WorkerPool(1, backend="threads", supervise_interval_s=None)
+def test_worker_pool_always_runs_a_supervisor():
+    pool = WorkerPool(1, backend="threads")
     try:
-        assert pool._supervisor is None
+        assert pool._supervisor.is_alive()
     finally:
         pool.close()
+    assert not pool._supervisor.is_alive()
 
 
 def test_service_config_none_budgets_keep_their_meaning():
-    """``None`` still means no default request budget and no supervisor."""
+    """``None`` still means no default request budget and no hang
+    detection."""
     async def main():
         svc_cfg = ServiceConfig(pool_size=1, default_timeout_s=None,
-                                supervise_interval_s=None)
+                                slice_timeout_s=None)
         async with SynthesisService(svc_cfg) as svc:
-            assert svc.pool._supervisor is None
+            assert svc.pool._slice_timeout_s is None
             handle = svc.submit(EASY.tables, EASY.demonstration,
                                 _config(EASY))
             await handle.result()
@@ -456,31 +468,6 @@ def test_recycled_pool_slot_reads_no_limit():
                 == NO_LIMIT
             _assert_identical(reference, await handle.result())
             assert handle.status == "done"
-        pool.close()
-
-    asyncio.run(main())
-
-
-def test_forked_pool_fans_out_to_spawned_shards(monkeypatch):
-    """A pool forked explicitly while shards are spawned: the request
-    slots' lock must still cross into the spawned shard processes."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" not in methods or "spawn" not in methods:
-        pytest.skip("needs both fork and spawn")
-    monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-    serial = _config(HARD, budget=300, top_n=10**6)
-    reference = _reference(HARD, serial)
-    fan = serial.replace(workers=2, parallel_executor="process")
-
-    async def main():
-        pool = WorkerPool(2, backend="processes", start_method="fork")
-        async with SynthesisService(ServiceConfig(pool_size=2,
-                                                  slice_pops=30),
-                                    pool=pool) as svc:
-            handle = svc.submit(HARD.tables, HARD.demonstration, fan)
-            result = await handle.result()
-            _assert_identical(reference, result)
-            assert result.workers == 2
         pool.close()
 
     asyncio.run(main())

@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from repro.benchmarks import all_tasks
+from repro.engine import make_engine
 from repro.parallel import NO_LIMIT, CancelToken
 from repro.synthesis import (
     GroundTruthStop,
@@ -100,13 +101,18 @@ def test_checkpoint_resume_identical_serial_and_sharded(task):
 
 @pytest.mark.parametrize("backend", ("row", "columnar"))
 def test_checkpoint_resume_identical_on_every_backend(backend):
-    """The round-trip holds on both engine backends."""
+    """The round-trip holds on both engines, each injected into the
+    reference run, the session and its resumed copy."""
     for task in FOCUS_TASKS:
-        config = _config(task, backend=backend)
-        reference = _baseline(task, config)
+        config = _config(task)
+        reference = Synthesizer("provenance", config,
+                                engine=make_engine(backend)).run(
+            task.tables, task.demonstration)
         session = _session(task, config)
+        session.attach_engine(make_engine(backend))
         session.step(max_pops=83)
         resumed = SynthesisSession.resume(session.checkpoint())
+        resumed.attach_engine(make_engine(backend))
         while not resumed.done:
             resumed.step(max_pops=47)
         _assert_identical(reference, resumed.result())
@@ -326,7 +332,7 @@ def test_session_reports_run_scoped_engine_delta():
 
     task = FOCUS_TASKS[0]
     config = _config(task, budget=300)
-    engine = make_engine(config.backend)
+    engine = make_engine()
     abstraction = build_abstraction("provenance", config)
     abstraction.bind_engine(engine)
 

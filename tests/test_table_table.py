@@ -24,11 +24,6 @@ class TestConstruction:
         assert t.n_rows == 0
         assert t.schema.types == ("null",)
 
-    def test_with_name(self, tiny_table):
-        renamed = tiny_table.with_name("S")
-        assert renamed.name == "S"
-        assert renamed.rows == tiny_table.rows
-
     def test_primary_key_metadata(self):
         t = Table.from_rows("t", ["id", "x"], [[1, 2]], primary_key=["id"])
         assert t.schema.primary_key == ("id",)
@@ -121,12 +116,3 @@ class TestBagEquality:
         a = Table.from_rows("a", ["x"], [[1], [2]])
         b = Table.from_rows("b", ["x"], [[1.0], [2.0]])
         assert a.same_rows(b)
-
-    def test_contains_rows(self, tiny_table):
-        subset = tiny_table.take_rows([1, 3])
-        assert tiny_table.contains_rows(subset)
-        assert not subset.contains_rows(tiny_table)
-
-    def test_contains_cell_value(self, tiny_table):
-        assert tiny_table.contains_cell_value(20)
-        assert not tiny_table.contains_cell_value(999)

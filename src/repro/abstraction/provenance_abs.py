@@ -35,8 +35,6 @@ synthesis sessions never share or clobber each other's results.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.abstraction.base import Abstraction
 from repro.abstraction.cells import (
     HEAD_AGGREGATE,
@@ -475,24 +473,14 @@ class ProvenanceAbstraction(Abstraction):
 
     name = "provenance"
 
-    #: Retained analyzers: the pinned session analyzer plus up to three
-    #: override analyzers (transient rebinds must not accumulate).
-    MAX_ANALYZERS = 4
-
     def __init__(self, target_refinement: bool = True,
                  value_shadow: bool = True, head_typing: bool = True) -> None:
         self.target_refinement = target_refinement
         self.value_shadow = value_shadow
         self.head_typing = head_typing
+        # One analyzer, for the bound engine: a session that evaluates
+        # through another engine brings its own abstraction.
         self._analyzer: ProvenanceAnalyzer | None = None
-        # One analyzer per engine ever bound: a transient rebind to another
-        # engine must not discard the session's memoization.
-        # Explicit retention policy: the *first-bound* (session) analyzer
-        # is pinned for the abstraction's lifetime; override analyzers are
-        # kept in an LRU order (most recently re-bound last) and the least
-        # recently used override is evicted past MAX_ANALYZERS.
-        self._analyzers: OrderedDict[int, ProvenanceAnalyzer] = OrderedDict()
-        self._session_key: int | None = None
         # Demo analyses are memoized per instance (Definition 3 checks the
         # same demonstration thousands of times per run) — no module-global
         # evaluation state anywhere in the stack.
@@ -504,27 +492,11 @@ class ProvenanceAbstraction(Abstraction):
         self._verdicts: BoundedCache = BoundedCache(DEFAULT_HELPER_CACHE)
 
     def bind_engine(self, engine) -> None:
+        """Keep the analyzer (and its memo) when ``engine`` is already the
+        bound one; replace it when another engine is bound."""
         super().bind_engine(engine)
-        key = id(engine)
-        analyzer = self._analyzers.get(key)
-        if analyzer is not None and analyzer.engine is engine:
-            # Rebind of a retained engine: refresh its LRU recency.
-            self._analyzers.move_to_end(key)
-        else:
-            # New engine — or a stale entry whose engine was collected and
-            # its id recycled (the identity check above catches it); the
-            # fresh analyzer replaces the stale one under the same key.
-            analyzer = ProvenanceAnalyzer(engine)
-            self._analyzers[key] = analyzer
-            self._analyzers.move_to_end(key)
-            if self._session_key is None:
-                self._session_key = key
-            while len(self._analyzers) > self.MAX_ANALYZERS:
-                for candidate in self._analyzers:   # LRU first
-                    if candidate != self._session_key:
-                        del self._analyzers[candidate]
-                        break
-        self._analyzer = analyzer
+        if self._analyzer is None or self._analyzer.engine is not engine:
+            self._analyzer = ProvenanceAnalyzer(engine)
 
     @property
     def analyzer(self) -> ProvenanceAnalyzer:
@@ -552,8 +524,6 @@ class ProvenanceAbstraction(Abstraction):
 
     def reset(self) -> None:
         super().reset()
-        for analyzer in self._analyzers.values():
-            analyzer.clear()
         if self._analyzer is not None:
             self._analyzer.clear()
         self._demo_cache.clear()

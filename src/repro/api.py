@@ -28,8 +28,9 @@ Synthesis-as-a-service (warm worker tier + asyncio front-end)::
         async for query in handle.stream(): ...
         result = await handle.result()
 
-The worker tier is pluggable: ``pool_backend="threads"`` shares the
-caller's GIL, ``"processes"`` hosts sessions in long-lived worker
+The pool runs on one of two tiers, whose workers run one op loop:
+``pool_backend="threads"`` hands workers the session objects and shares
+the caller's GIL, ``"processes"`` hosts sessions in long-lived worker
 processes fed pickled session checkpoints (the default for pools
 larger than one worker; ``REPRO_POOL_BACKEND`` overrides).
 Requests route by schema affinity — repeated-schema traffic lands on

@@ -2,11 +2,12 @@
 (:mod:`repro.serve.pool`) under an asyncio front-end
 (:mod:`repro.serve.service`).
 
-The pool is backend-pluggable (:data:`~repro.serve.pool.POOL_BACKENDS`):
-GIL-sharing worker threads, or long-lived worker processes fed pickled
-checkpoint blobs — the default whenever the pool is larger than one
-worker.  Every worker owns its warm engines' caches, and both tiers
-produce byte-identical results.
+The pool runs on one of two tiers (:data:`~repro.serve.pool.POOL_BACKENDS`):
+GIL-sharing worker threads handed the session objects, or long-lived
+worker processes fed pickled checkpoint blobs — the default whenever the
+pool is larger than one worker.  Both tiers run one worker op loop, every
+worker owns its warm engines' caches, and both tiers produce
+byte-identical results.
 
 Fault tolerance: the pool supervises its workers (restart with backoff,
 degrade to threads as a last resort) and the service replays a dead
@@ -30,11 +31,8 @@ from repro.serve.faults import (
 from repro.serve.pool import (
     POOL_BACKENDS,
     WORKER_DIED,
-    PoolBackend,
-    ProcessBackend,
     RecoveryTelemetry,
     SliceOutcome,
-    ThreadBackend,
     WorkerPool,
     WorkerTelemetry,
     resolve_pool_backend,
@@ -48,8 +46,7 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "WorkerPool", "PoolBackend", "ThreadBackend", "ProcessBackend",
-    "POOL_BACKENDS", "resolve_pool_backend", "warm_key",
+    "WorkerPool", "POOL_BACKENDS", "resolve_pool_backend", "warm_key",
     "SliceOutcome", "WorkerTelemetry", "RecoveryTelemetry", "WORKER_DIED",
     "FaultPlan", "FaultInjector", "InjectedCrash", "parse_faults",
     "SynthesisService", "ServiceConfig", "ServiceOverloaded",

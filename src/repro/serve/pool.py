@@ -1,26 +1,29 @@
 """The persistent warm worker pool behind :class:`repro.serve.service`.
 
-One :class:`WorkerPool` outlives every request, and since PR 8 the worker
-tier is *executor-agnostic*: the pool facade speaks a small op protocol
-(open / step / run / cancel / close) to a :class:`PoolBackend`, and two
-backends implement it —
+One :class:`WorkerPool` outlives every request.  Each worker is one
+:class:`_Worker` record per incarnation — a job queue plus the thread or
+process that drains it — and every worker, on either tier, runs the same
+op loop (:func:`_serve_ops`): ``open``/``step``/``run`` each produce one
+:class:`SliceOutcome`, ``cancel`` flags the hosted session at the slice
+boundary, ``close`` returns.  The tiers differ only in what crosses into
+the worker:
 
-* :class:`ThreadBackend` — daemon threads in the service process, the
-  PR 7 tier.  Sessions are shared by reference, dispatch is free, and the
-  GIL serializes CPU-bound slices; right for latency-sensitive light
-  traffic and for callers who want to poll the live session object.
-* :class:`ProcessBackend` — long-lived non-daemon worker *processes*
-  (non-daemon so a hosted session may itself fan out to shard workers).
-  Requests ship as pickled ``checkpoint()`` blobs, input tables inside;
-  concurrent CPU-bound searches then scale with cores instead of
-  contending for one GIL.
+* ``"threads"`` — daemon threads in the service process.  Sessions are
+  passed by reference, so nothing is pickled and the caller can poll the
+  live session object; the GIL serializes CPU-bound slices.  Right for
+  latency-sensitive light traffic.
+* ``"processes"`` — long-lived non-daemon worker *processes* (non-daemon
+  so a hosted session may itself fan out to shard workers).  Requests
+  ship as pickled ``checkpoint()`` blobs, input tables inside, each with
+  a slot of the pool's shared cancel-token array; concurrent CPU-bound
+  searches then scale with cores instead of contending for one GIL.
 
-Both backends drive the same :class:`_SessionHost` per worker: a cache of
-warm ``(engine, abstraction)`` pairs keyed by :func:`warm_key`, the
-``(warm key, env digest)`` pairs already served (the warm-hit metric that
-schema-affinity routing optimizes), and the sessions currently hosted.
-Because the host is shared code, a request's slices execute identically
-on either tier — the determinism pledge below.
+Every worker hosts a :class:`_SessionHost`: a cache of warm ``(engine,
+abstraction)`` pairs keyed by :func:`warm_key`, the ``(warm key, env
+digest)`` pairs already served (the warm-hit metric that schema-affinity
+routing optimizes), and the sessions currently hosted.  Because host and
+op loop are shared code, a request's slices execute identically on
+either tier — the determinism pledge below.
 
 Why warm reuse is safe: engine caches are keyed on exact structural
 ``(query, env)`` state — and the incremental consistency checker's
@@ -31,21 +34,22 @@ process-hosted session's ranked queries and ``SearchStats`` are
 byte-identical to the same session sliced on a thread worker (or never
 sliced at all), under fork and spawn alike.
 
-Fault tolerance (PR 9).  A supervisor thread in the facade watches for
-dead workers (process exitcode, crashed thread) and hung slices (no
-per-worker progress within ``slice_timeout_s``), and on failure: marks
-the worker down, bumps its *incarnation* (stale outcomes and ops from
-the dead incarnation are dropped by tag), fails its hosted requests over
-to the caller as ``status="worker_died"`` outcomes, and restarts the
-worker with exponential backoff.  A restarted process worker gets a
-fresh job queue and cold warm/affinity state.  When every restart
-attempt fails the pool degrades to the thread backend with a logged
-warning rather than dying.  Every
-non-terminal :class:`SliceOutcome` carries the session's latest
+Fault tolerance.  A supervisor thread in the pool watches for dead
+workers (process exitcode, ended thread) and hung slices (no per-worker
+progress within ``slice_timeout_s``).  On failure it installs the
+worker's replacement record at once — next *incarnation*, fresh job
+queue, so ops submitted during the restart wait there — fails the dead
+worker's requests over to the caller as ``status="worker_died"``
+outcomes, and starts the replacement with exponential backoff; outcomes
+from the dead incarnation are dropped by tag.  A restarted worker starts
+cold.  When every restart attempt of a process worker fails, the pool
+degrades to the thread tier with a logged warning rather than dying.
+Every non-terminal :class:`SliceOutcome` carries the session's latest
 slice-boundary checkpoint, which is what lets the service above replay a
 request on a healthy worker with byte-identical results — crashes cost
 latency, never correctness.  Deterministic chaos for all of this comes
-from :mod:`repro.serve.faults`.
+from :mod:`repro.serve.faults`: an injected crash escapes the op loop and
+ends the worker thread, or the worker process via ``os._exit``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from __future__ import annotations
 import atexit
 import logging
 import os
+import pickle
 import queue
 import threading
 import time
@@ -79,9 +84,6 @@ from repro.util.timer import Deadline
 
 _LOG = logging.getLogger("repro.serve")
 
-#: Stop sentinel for thread-worker queues (``None`` would shadow a job).
-_SHUTDOWN = object()
-
 POOL_BACKENDS = ("threads", "processes")
 
 #: Outcome status for a request whose worker died under it — the signal
@@ -98,8 +100,8 @@ SUPERVISE_INTERVAL_S = 0.1
 #: First restart backoff; doubles per failed spawn attempt.
 RESTART_BACKOFF_S = 0.05
 
-#: Spawn attempts per worker failure before the pool degrades to the
-#: thread backend.
+#: Spawn attempts per process-worker failure before the pool degrades to
+#: the thread tier.
 MAX_SPAWN_ATTEMPTS = 3
 
 #: Cancel-token slots per process pool: a shared int64 array of round
@@ -162,7 +164,7 @@ class WorkerTelemetry:
 
 @dataclass
 class RecoveryTelemetry:
-    """Pool-wide fault-tolerance counters (facade-owned)."""
+    """Pool-wide fault-tolerance counters (pool-owned)."""
 
     worker_deaths: int = 0       # dead workers detected (exitcode/thread)
     hangs: int = 0               # hung slices detected (progress timeout)
@@ -181,16 +183,16 @@ class RecoveryTelemetry:
 
 @dataclass
 class SliceOutcome:
-    """What one op produced — the only thing a backend ships back.
+    """What one op produced — the only thing a worker ships back.
 
     ``stats`` is a snapshot for observability (the process tier has no
     live session object to poll); ``result`` is set exactly once, on the
     terminal outcome.  ``telemetry`` piggybacks the worker's counters so
-    the coordinator needs no side channel.  ``checkpoint`` carries the
+    the pool needs no side channel.  ``checkpoint`` carries the
     session's slice-boundary state on every non-terminal outcome — the
     replay point should the worker die before the next one.
     ``incarnation`` tags which life of the worker produced this; the
-    facade drops outcomes from dead incarnations.
+    pool drops outcomes from dead incarnations.
     """
 
     request_id: int
@@ -220,7 +222,7 @@ class _Hosted:
 
 
 class _SessionHost:
-    """Per-worker state both backends share; confined to one worker.
+    """Per-worker state, the same on both tiers; confined to one worker.
 
     Owns the warm engine cache, the warm-hit accounting, and the hosted
     sessions — a thread worker runs it in the service process, a process
@@ -397,204 +399,59 @@ class _SessionHost:
             telemetry=self.telemetry(), incarnation=self.incarnation)
 
 
-def _error_outcome(host: _SessionHost, request_id: int) -> SliceOutcome:
-    host.drop(request_id)
-    return SliceOutcome(
-        request_id=request_id, worker_id=host.worker_id, done=True,
-        status="error", error=traceback.format_exc(),
-        telemetry=host.telemetry(), incarnation=host.incarnation)
+# ------------------------------------------------------------------- workers
+
+#: The op that ends a worker's loop.
+_CLOSE = ("close", -1, None)
 
 
-def _apply_op(host: _SessionHost, kind: str, request_id: int,
-              open_session: Callable[[], SliceOutcome]) -> SliceOutcome:
-    """Shared op dispatch: every op but cancel/close yields one outcome.
+def _serve_ops(host: _SessionHost, jobs,
+               deliver: Callable[[SliceOutcome], None],
+               admit: Callable[[tuple], tuple]) -> None:
+    """The op loop every worker runs, thread and process alike.
 
-    Catches ``Exception`` only — an :class:`InjectedCrash` (a
-    ``BaseException``) deliberately escapes and kills the worker, so
-    chaos exercises supervision rather than this error net.
+    ``open``/``step``/``run`` each deliver exactly one outcome; ``admit``
+    turns an ``open`` payload into ``(session, slice_pops, deadline,
+    env_key)``, the one step where the tiers differ.  ``cancel`` flags the
+    hosted session at the slice boundary (the pool already made the
+    mid-slice stop) and ``close`` returns.  Only ``Exception`` becomes an
+    error outcome: an :class:`InjectedCrash` (a ``BaseException``) escapes
+    to the tier's wrapper and kills the worker, so chaos exercises
+    supervision rather than this error net.
     """
+    while True:
+        kind, request_id, payload = jobs.get()
+        if kind == "close":
+            return
+        if kind == "cancel":
+            host.cancel_session(request_id)
+            continue
+        try:
+            if kind == "open":
+                outcome = host.open_session(request_id, *admit(payload))
+            elif kind == "step":
+                outcome = host.step_session(request_id)
+            else:
+                outcome = host.run_session(request_id)
+        except Exception:
+            host.drop(request_id)
+            outcome = SliceOutcome(
+                request_id=request_id, worker_id=host.worker_id, done=True,
+                status="error", error=traceback.format_exc(),
+                telemetry=host.telemetry(), incarnation=host.incarnation)
+        deliver(outcome)
+
+
+def _thread_worker_main(host: _SessionHost, jobs,
+                        deliver: Callable[[SliceOutcome], None]) -> None:
+    """Body of one worker thread: sessions arrive by reference."""
     try:
-        if kind == "open":
-            return open_session()
-        if kind == "step":
-            return host.step_session(request_id)
-        return host.run_session(request_id)
-    except Exception:
-        return _error_outcome(host, request_id)
-
-
-# ------------------------------------------------------------------ backends
-
-class PoolBackend:
-    """The executor-agnostic worker-tier interface the pool facade drives.
-
-    One method per op; ops targeting one worker execute strictly in
-    submission order, and every open/step/run eventually produces exactly
-    one :class:`SliceOutcome` delivered to the dispatch callback (from a
-    backend-owned thread — never the caller's) *while the producing
-    worker stays alive*; supervision synthesizes the outcome otherwise.
-    """
-
-    name: str
-
-    def open(self, worker_id: int, request_id: int,
-             session: SynthesisSession, slice_pops: int, deadline: Deadline,
-             env_key: str) -> None:
-        raise NotImplementedError
-
-    def step(self, worker_id: int, request_id: int) -> None:
-        raise NotImplementedError
-
-    def run(self, worker_id: int, request_id: int) -> None:
-        raise NotImplementedError
-
-    def cancel(self, worker_id: int, request_id: int) -> None:
-        raise NotImplementedError
-
-    def telemetry(self, worker_id: int) -> WorkerTelemetry:
-        raise NotImplementedError
-
-    # ------------------------------------------------------- supervision
-    def dead_workers(self) -> list[tuple[int, str]]:
-        """(worker_id, reason) for workers that died since last asked."""
-        return []
-
-    def restart_worker(self, worker_id: int, incarnation: int) -> None:
-        """Replace a dead/hung worker with a fresh incarnation.  Raises
-        (e.g. ``OSError``) when the replacement cannot be spawned."""
-        raise NotImplementedError
-
-    def forget(self, request_id: int) -> None:
-        """Release per-request backend resources after a failover."""
-
-    def close(self, timeout_s: float) -> list[int]:
-        """Drain and join; returns ids of workers that had to be killed."""
-        raise NotImplementedError
-
-    def destroy(self) -> None:
-        """Immediate teardown (no drain) — the degrade path.  Must not
-        raise."""
-        self.close(timeout_s=0.1)
-
-
-class _ThreadWorker:
-    """One warm thread worker: a queue, a thread, a session host."""
-
-    def __init__(self, worker_id: int,
-                 dispatch: Callable[[SliceOutcome], None],
-                 incarnation: int = 0,
-                 injector: FaultInjector | None = None) -> None:
-        self.host = _SessionHost(worker_id, incarnation=incarnation,
-                                 injector=injector)
-        self.crashed = False
-        self._dispatch = dispatch
-        self._jobs: queue.Queue = queue.Queue()
-        self._thread = threading.Thread(
-            target=self._loop, name=f"repro-serve-worker-{worker_id}",
-            daemon=True)
-        self._thread.start()
-
-    def submit(self, op) -> None:
-        self._jobs.put(op)
-
-    def alive(self) -> bool:
-        return self._thread.is_alive() and not self.crashed
-
-    def _loop(self) -> None:
-        host = self.host
-        while True:
-            op = self._jobs.get()
-            if op is _SHUTDOWN:
-                return
-            kind, request_id, payload = op
-            try:
-                if kind == "cancel":
-                    host.cancel_session(request_id)
-                    continue
-                outcome = _apply_op(
-                    host, kind, request_id,
-                    lambda: host.open_session(request_id, *payload))
-            except InjectedCrash:
-                # The thread-tier realization of a worker death: the
-                # loop ends without delivering an outcome, exactly like
-                # a process worker's os._exit — supervision takes over.
-                self.crashed = True
-                return
-            self._dispatch(outcome)
-
-    def close(self, deadline: Deadline) -> bool:
-        """Request shutdown and join; True when the worker drained."""
-        self._jobs.put(_SHUTDOWN)
-        remaining = deadline.remaining()
-        self._thread.join(remaining if remaining is not None else None)
-        return not self._thread.is_alive()
-
-
-class ThreadBackend(PoolBackend):
-    """Daemon threads in the calling process; sessions stay shared
-    objects, so the service's handle can poll live search state."""
-
-    name = "threads"
-
-    def __init__(self, size: int,
-                 dispatch: Callable[[SliceOutcome], None],
-                 faults: FaultPlan | None = None,
-                 incarnations: list[int] | None = None) -> None:
-        self._dispatch = dispatch
-        self._faults = faults
-        self._closing = False
-        incarnations = incarnations or [0] * size
-        self._workers = [
-            _ThreadWorker(i, dispatch, incarnation=incarnations[i],
-                          injector=make_injector(faults, i, incarnations[i]))
-            for i in range(size)]
-
-    def open(self, worker_id, request_id, session, slice_pops, deadline,
-             env_key) -> None:
-        self._workers[worker_id].submit(
-            ("open", request_id, (session, slice_pops, deadline, env_key)))
-
-    def step(self, worker_id, request_id) -> None:
-        self._workers[worker_id].submit(("step", request_id, None))
-
-    def run(self, worker_id, request_id) -> None:
-        self._workers[worker_id].submit(("run", request_id, None))
-
-    def cancel(self, worker_id, request_id) -> None:
-        # Direct call, not an op: the session object is shared, and the
-        # flag must be visible mid-slice, not behind queued work.
-        self._workers[worker_id].host.cancel_session(request_id)
-
-    def telemetry(self, worker_id) -> WorkerTelemetry:
-        return self._workers[worker_id].host.telemetry()
-
-    def dead_workers(self) -> list[tuple[int, str]]:
-        if self._closing:
-            return []
-        return [(i, "worker thread crashed")
-                for i, worker in enumerate(self._workers)
-                if not worker.alive()]
-
-    def restart_worker(self, worker_id: int, incarnation: int) -> None:
-        old = self._workers[worker_id]
-        # A hung (not crashed) thread eventually drains its queue and
-        # exits on the sentinel; its outcomes carry the old incarnation
-        # and are dropped by the facade.
-        old.submit(_SHUTDOWN)
-        self._workers[worker_id] = _ThreadWorker(
-            worker_id, self._dispatch, incarnation=incarnation,
-            injector=make_injector(self._faults, worker_id, incarnation))
-
-    def close(self, timeout_s: float) -> list[int]:
-        self._closing = True
-        deadline = Deadline(timeout_s)
-        return [i for i, worker in enumerate(self._workers)
-                if not worker.close(deadline) and not worker.crashed]
-
-    def destroy(self) -> None:
-        self._closing = True
-        for worker in self._workers:
-            worker.submit(_SHUTDOWN)
+        _serve_ops(host, jobs, deliver, lambda payload: payload)
+    except InjectedCrash:
+        # The thread-tier worker death: the thread ends without an
+        # outcome, as a process worker's os._exit does, and supervision
+        # takes over.
+        return
 
 
 def _process_worker_main(worker_id: int, jobs, results, cancel_limits,
@@ -602,20 +459,20 @@ def _process_worker_main(worker_id: int, jobs, results, cancel_limits,
     """Body of one long-lived worker process.
 
     Each ``open`` op carries a pickled checkpoint with the input tables
-    inside.  Unpickled environments are memoized by the service's env
-    digest: a repeated request then hands the warm engine the very
-    ``Env`` object its cache keys hold, so cache probes match by
-    identity instead of comparing every cell of an equal copy.  An
-    :class:`InjectedCrash` ends the process via ``os._exit`` — no
-    cleanup, no unwinding — because that is what a real worker death
-    looks like to the supervisor.
+    inside, and the request's cancel-token slot.  Unpickled environments
+    are memoized by the service's env digest: a repeated request then
+    hands the warm engine the very ``Env`` object its cache keys hold, so
+    cache probes match by identity instead of comparing every cell of an
+    equal copy.  An :class:`InjectedCrash` ends the process via
+    ``os._exit`` — no cleanup, no unwinding — because that is what a real
+    worker death looks like to the supervisor.
     """
     host = _SessionHost(worker_id, incarnation=incarnation,
                         injector=make_injector(faults, worker_id,
                                                incarnation))
     envs: dict = {}                     # env digest -> Env
 
-    def open_session(request_id: int, payload) -> SliceOutcome:
+    def admit(payload) -> tuple:
         blob, slice_pops, deadline, env_key, slot = payload
         session = SynthesisSession.resume(blob)
         known = envs.get(env_key)
@@ -627,230 +484,86 @@ def _process_worker_main(worker_id: int, jobs, results, cancel_limits,
             envs[env_key] = session.env
         if slot >= 0:
             session.set_cancel_token(CancelToken(cancel_limits, slot))
-        return host.open_session(request_id, session, slice_pops, deadline,
-                                 env_key)
+        return session, slice_pops, deadline, env_key
 
     try:
-        while True:
-            op = jobs.get()
-            kind, request_id, payload = op
-            if kind == "close":
-                break
-            if kind == "cancel":
-                # Slice-boundary fallback; the request's token slot
-                # already covers mid-slice (the session polls it every
-                # pop) and fanned-out shards.
-                host.cancel_session(request_id)
-                continue
-            results.put(_apply_op(host, kind, request_id,
-                                  lambda: open_session(request_id, payload)))
+        _serve_ops(host, jobs, results.put, admit)
     except InjectedCrash:
         os._exit(FAULT_EXITCODE)
 
 
-class ProcessBackend(PoolBackend):
-    """Long-lived worker processes fed over per-worker job queues.
+class _Worker:
+    """One worker incarnation: its job queue and the thread or process
+    draining it.  ``runner`` is ``None`` while the worker is down; ops
+    submitted meanwhile wait in ``jobs`` for the replacement to start."""
 
-    Dispatch path: the coordinator ships the session's pickled
-    ``checkpoint()``, input tables included; one reader thread fans every
-    worker's outcomes back into the dispatch callback.  Workers are
-    non-daemon so a hosted session may fan out to its own shard
-    processes (daemons cannot have children).
+    __slots__ = ("worker_id", "jobs", "incarnation", "runner", "telemetry")
 
-    Restart support: each worker carries an incarnation; replacing one
-    terminates the process if needed, swaps in a fresh job queue, and
-    spawns the next incarnation.
-    """
+    def __init__(self, worker_id: int, jobs, incarnation: int) -> None:
+        self.worker_id = worker_id
+        self.jobs = jobs
+        self.incarnation = incarnation
+        self.runner = None
+        #: This incarnation's counters as of its latest outcome.
+        self.telemetry = WorkerTelemetry(worker_id=worker_id)
 
-    name = "processes"
+    def failure(self) -> str | None:
+        """Why the runner died, or None while it runs (or is starting)."""
+        runner = self.runner
+        if runner is None or runner.is_alive():
+            return None
+        if isinstance(runner, threading.Thread):
+            return f"worker thread {self.worker_id} crashed"
+        code = runner.exitcode
+        reason = "injected crash" if code == FAULT_EXITCODE else \
+            f"exitcode {code}"
+        return f"worker process {self.worker_id} died ({reason})"
 
-    def __init__(self, size: int, dispatch: Callable[[SliceOutcome], None],
-                 faults: FaultPlan | None = None) -> None:
-        self._dispatch = dispatch
-        self._faults = faults
-        self._ctx = pick_context()
-        # The slots cross into pool workers and on into their shard
-        # processes, which start with the same method.
-        self._cancel_limits = self._ctx.Array("q", [NO_LIMIT] * _CANCEL_SLOTS)
-        self._results = self._ctx.SimpleQueue()
-        self._jobs = [self._ctx.SimpleQueue() for _ in range(size)]
-        self._incarnations = [0] * size
-        self._spawn_injectors: dict[int, FaultInjector] = {}
-        self._procs: list = [None] * size
-        for i in range(size):
-            self._spawn(i, 0)
-        self._lock = threading.Lock()
-        self._slots: dict[int, int] = {}        # request_id -> token slot
-        self._free_slots = list(range(_CANCEL_SLOTS))
-        self._telemetry = [WorkerTelemetry(worker_id=i) for i in range(size)]
-        self._reader = threading.Thread(target=self._read_outcomes,
-                                        name="repro-serve-pool-reader",
-                                        daemon=True)
-        self._reader.start()
+    def halt(self, timeout_s: float) -> bool:
+        """Join the runner within ``timeout_s``; a process still running
+        then is terminated, a thread left behind (a daemon).  True when
+        the runner had finished by itself."""
+        runner = self.runner
+        if runner is None:
+            return True
+        runner.join(timeout_s)
+        if not runner.is_alive():
+            return True
+        if not isinstance(runner, threading.Thread):
+            runner.terminate()
+            runner.join(1.0)
+            if runner.is_alive():       # pragma: no cover - defensive
+                runner.kill()
+                runner.join(1.0)
+        return False
 
-    def _spawn(self, worker_id: int, incarnation: int) -> None:
-        proc = self._ctx.Process(
-            target=_process_worker_main,
-            args=(worker_id, self._jobs[worker_id], self._results,
-                  self._cancel_limits, self._faults, incarnation),
-            name=f"repro-serve-proc-{worker_id}", daemon=False)
-        proc.start()
-        self._procs[worker_id] = proc
-
-    def open(self, worker_id, request_id, session, slice_pops, deadline,
-             env_key) -> None:
-        blob = session.checkpoint()
-        with self._lock:
-            slot = self._free_slots.pop() if self._free_slots else -1
-            if slot >= 0:
-                self._cancel_limits[slot] = NO_LIMIT     # recycled slot
-                self._slots[request_id] = slot
-            self._jobs[worker_id].put(
-                ("open", request_id,
-                 (blob, slice_pops, deadline, env_key, slot)))
-
-    def step(self, worker_id, request_id) -> None:
-        with self._lock:
-            self._jobs[worker_id].put(("step", request_id, None))
-
-    def run(self, worker_id, request_id) -> None:
-        with self._lock:
-            self._jobs[worker_id].put(("run", request_id, None))
-
-    def cancel(self, worker_id, request_id) -> None:
-        with self._lock:
-            slot = self._slots.get(request_id)
-            if slot is not None:
-                # Visible at the session's next pop and its shards' next
-                # round.
-                CancelToken(self._cancel_limits, slot).propose(0)
-            self._jobs[worker_id].put(("cancel", request_id, None))
-
-    def telemetry(self, worker_id) -> WorkerTelemetry:
-        with self._lock:
-            return self._telemetry[worker_id]
-
-    def dead_workers(self) -> list[tuple[int, str]]:
-        dead = []
-        for i, proc in enumerate(self._procs):
-            code = proc.exitcode
-            if code is None:
-                continue
-            reason = "injected crash" if code == FAULT_EXITCODE else \
-                f"exitcode {code}"
-            dead.append((i, f"worker process {i} died ({reason})"))
-        return dead
-
-    def restart_worker(self, worker_id: int, incarnation: int) -> None:
-        proc = self._procs[worker_id]
-        if proc.is_alive():
-            # Hung, not dead: terminate (possibly mid-slice — the
-            # request replays from its checkpoint, so nothing is lost
-            # but time).
-            proc.terminate()
-            proc.join(timeout=2.0)
-            if proc.is_alive():     # pragma: no cover - defensive
-                proc.kill()
-                proc.join(timeout=2.0)
-        self._spawn_check(worker_id, incarnation)
-        with self._lock:
-            self._jobs[worker_id] = self._ctx.SimpleQueue()
-            self._incarnations[worker_id] = incarnation
-            self._spawn_injectors.pop(worker_id, None)
-        self._spawn(worker_id, incarnation)
-
-    def _spawn_check(self, worker_id: int, incarnation: int) -> None:
-        """Fault-injection site for restart failures.  The spawn stream
-        is salted with the *dead* incarnation: replacing an armed
-        incarnation is what may fail, so ``max_incarnation=1`` plans can
-        express 'the first restart fails' without crash-looping."""
-        if self._faults is None:
-            return
-        injector = self._spawn_injectors.get(worker_id)
-        if injector is None or injector.incarnation != incarnation - 1:
-            injector = FaultInjector(self._faults, worker_id,
-                                     incarnation - 1)
-            self._spawn_injectors[worker_id] = injector
-        injector.check_spawn()
-
-    def forget(self, request_id: int) -> None:
-        with self._lock:
-            self._release_slot(request_id)
-
-    def _release_slot(self, request_id: int) -> None:
-        slot = self._slots.pop(request_id, None)
-        if slot is not None:
-            self._free_slots.append(slot)
-
-    def _read_outcomes(self) -> None:
-        while True:
-            try:
-                outcome = self._results.get()
-            except (EOFError, OSError):     # pragma: no cover - teardown
-                return
-            if outcome is None:             # close() sentinel
-                return
-            with self._lock:
-                if outcome.telemetry is not None:
-                    self._telemetry[outcome.worker_id] = outcome.telemetry
-                if outcome.done:
-                    self._release_slot(outcome.request_id)
-            self._dispatch(outcome)
-
-    def close(self, timeout_s: float) -> list[int]:
-        with self._lock:
-            for jobs in self._jobs:
-                jobs.put(("close", -1, None))
-        deadline = Deadline(timeout_s)
-        stuck = []
-        for i, proc in enumerate(self._procs):
-            proc.join(timeout=max(0.1, deadline.remaining()))
-            if proc.is_alive():
-                stuck.append(i)
-                proc.terminate()
-                proc.join(timeout=1.0)
-                if proc.is_alive():         # pragma: no cover - defensive
-                    proc.kill()
-                    proc.join(timeout=1.0)
-        self._results.put(None)
-        self._reader.join(timeout=2.0)
-        return stuck
-
-    def destroy(self) -> None:
-        """Terminate everything now — the degrade-to-threads path."""
-        for proc in self._procs:
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=1.0)
-            if proc.is_alive():             # pragma: no cover - defensive
-                proc.kill()
-                proc.join(timeout=1.0)
-        try:
-            self._results.put(None)
-            self._reader.join(timeout=1.0)
-        except Exception:                   # pragma: no cover - teardown
-            pass
+    def retire(self) -> None:
+        """Let a replaced incarnation go: a hung thread leaves once it
+        wakes, a hung process is terminated (possibly mid-slice — its
+        requests replay from their checkpoints), a dead one reaped."""
+        if isinstance(self.runner, threading.Thread):
+            self.jobs.put(_CLOSE)
+        else:
+            self.halt(0)
 
 
-# ------------------------------------------------------------------- facade
+# ---------------------------------------------------------------------- pool
 
 class WorkerPool:
-    """A fixed-size pool of warm workers behind a pluggable backend.
+    """A fixed-size pool of warm workers on one tier.
 
     Lives across requests (and across services, if the caller passes its
     own pool around).  ``backend`` is ``"threads"``, ``"processes"`` or
     ``None``/``"auto"`` (``REPRO_POOL_BACKEND``, else processes when
     ``size > 1`` — the tier that actually uses the cores).
 
-    The facade owns request-id allocation, per-request outcome routing,
+    The pool owns request-id allocation, per-request outcome routing,
     per-worker queue-depth accounting (incremented per submitted op,
     decremented per outcome) — the load signal least-loaded routing
-    uses — and, since PR 9, supervision: a watchdog thread detects dead
-    workers and hung slices, restarts them with exponential backoff
-    (degrading the whole pool to the thread backend when restarts keep
+    uses — each worker's telemetry as of its latest outcome, the process
+    tier's cancel-token slots, and supervision: a watchdog thread detects
+    dead workers and hung slices, restarts them with exponential backoff
+    (degrading the whole pool to threads when process restarts keep
     failing), and fails the dead worker's requests over to their
     ``on_slice`` callbacks as ``status="worker_died"`` outcomes carrying
     the error — the service above replays them from checkpoints.
@@ -870,23 +583,36 @@ class WorkerPool:
         self._size = size
         self._slice_timeout_s = slice_timeout_s
         self._lock = threading.Lock()
-        self._handlers: dict[int, tuple[Callable, int]] = {}
+        # request_id -> (on_slice, worker_id, session)
+        self._handlers: dict[int, tuple[Callable, int, SynthesisSession]] = {}
         self._depths = [0] * size
         self._next_request = 0
         self._closed = False
         self._degraded = False
-        self._down: set[int] = set()
-        self._pending: dict[int, list] = {i: [] for i in range(size)}
-        self._incarnations = [0] * size
         self._last_progress = [time.monotonic()] * size
         self._restart_listeners: list[Callable[[int | None], None]] = []
+        self._spawn_injectors: dict[int, FaultInjector] = {}
         self.recovery = RecoveryTelemetry()
-        if self.backend_name == "threads":
-            self._backend: PoolBackend = ThreadBackend(
-                size, self._on_outcome, faults=self.faults)
-        else:
-            self._backend = ProcessBackend(
-                size, self._on_outcome, faults=self.faults)
+        # Process tier only: the shared cancel-token slots, the outcome
+        # queue every worker process writes, and the thread reading it.
+        self._ctx = self._cancel_limits = self._results = self._reader = None
+        self._slots: dict[int, int] = {}        # request_id -> token slot
+        self._free_slots: list[int] = []
+        if self.backend_name == "processes":
+            self._ctx = pick_context()
+            # The slots cross into pool workers and on into their shard
+            # processes, which start with the same method.
+            self._cancel_limits = self._ctx.Array(
+                "q", [NO_LIMIT] * _CANCEL_SLOTS)
+            self._free_slots = list(range(_CANCEL_SLOTS))
+            self._results = self._ctx.SimpleQueue()
+            self._reader = threading.Thread(
+                target=self._read_outcomes, name="repro-serve-pool-reader",
+                daemon=True)
+            self._reader.start()
+        self._workers = [self._new_worker(i, 0) for i in range(size)]
+        for worker in self._workers:
+            self._start(worker)
         self._stop_supervisor = threading.Event()
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-serve-supervisor",
@@ -902,6 +628,46 @@ class WorkerPool:
     def degraded(self) -> bool:
         return self._degraded
 
+    # -------------------------------------------------------------- workers
+    def _new_worker(self, worker_id: int, incarnation: int) -> _Worker:
+        jobs = self._ctx.SimpleQueue() if self.backend_name == "processes" \
+            else queue.SimpleQueue()
+        return _Worker(worker_id, jobs, incarnation)
+
+    def _start(self, worker: _Worker) -> None:
+        """Start the thread or process that drains ``worker``'s queue.
+        Raises (e.g. ``OSError``) when it cannot be started."""
+        worker_id, incarnation = worker.worker_id, worker.incarnation
+        if self.backend_name == "processes":
+            runner = self._ctx.Process(
+                target=_process_worker_main,
+                args=(worker_id, worker.jobs, self._results,
+                      self._cancel_limits, self.faults, incarnation),
+                name=f"repro-serve-proc-{worker_id}", daemon=False)
+        else:
+            host = _SessionHost(
+                worker_id, incarnation=incarnation,
+                injector=make_injector(self.faults, worker_id, incarnation))
+            runner = threading.Thread(
+                target=_thread_worker_main,
+                args=(host, worker.jobs, self._on_outcome),
+                name=f"repro-serve-worker-{worker_id}", daemon=True)
+        runner.start()
+        worker.runner = runner
+
+    def _take_slot(self, request_id: int) -> int:
+        if not self._free_slots:
+            return -1
+        slot = self._free_slots.pop()
+        self._cancel_limits[slot] = NO_LIMIT        # recycled slot
+        self._slots[request_id] = slot
+        return slot
+
+    def _release_slot(self, request_id: int) -> None:
+        slot = self._slots.pop(request_id, None)
+        if slot is not None:
+            self._free_slots.append(slot)
+
     # ------------------------------------------------------------- requests
     def submit_request(self, session: SynthesisSession, *, worker_id: int,
                        slice_pops: int, deadline: Deadline, env_key: str,
@@ -909,42 +675,52 @@ class WorkerPool:
         """Open a session on a worker; every slice lands on ``on_slice``
         (from a pool-owned thread) until a terminal outcome.  Returns the
         pool-wide request id used by :meth:`step`/:meth:`run`/
-        :meth:`cancel`.  A submission to a worker mid-restart is
-        buffered and dispatched when its replacement is up.  ``env_key``
-        is the content digest of ``session.env``: warm-hit accounting
-        and the process workers' environment memo key on it."""
+        :meth:`cancel`.  A submission to a worker mid-restart waits in its
+        replacement's queue.  ``env_key`` is the content digest of
+        ``session.env``: warm-hit accounting and the process workers'
+        environment memo key on it.  On the process tier the session
+        ships pickled; one that cannot pickle raises ``TypeError`` before
+        anything is recorded."""
         if not 0 <= worker_id < self._size:
             raise ValueError(f"worker {worker_id} out of range "
                              f"[0, {self._size})")
+        blob = None
+        if self.backend_name == "processes":
+            try:
+                blob = session.checkpoint()
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise TypeError(
+                    f"a request on the process pool tier must pickle "
+                    f"({exc}); give the stop condition as a StopSpec such "
+                    f"as GroundTruthStop instead of a callable") from exc
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
             request_id = self._next_request
             self._next_request += 1
-            self._handlers[request_id] = (on_slice, worker_id)
+            if self.backend_name == "processes":
+                payload = (blob, slice_pops, deadline, env_key,
+                           self._take_slot(request_id))
+            else:
+                payload = (session, slice_pops, deadline, env_key)
+            self._handlers[request_id] = (on_slice, worker_id, session)
             self._depths[worker_id] += 1
             self._last_progress[worker_id] = time.monotonic()
-            if worker_id in self._down:
-                self._pending[worker_id].append(
-                    lambda: self._backend.open(worker_id, request_id,
-                                               session, slice_pops, deadline,
-                                               env_key))
-                return request_id
-        self._backend.open(worker_id, request_id, session, slice_pops,
-                           deadline, env_key)
+            jobs = self._workers[worker_id].jobs
+        jobs.put(("open", request_id, payload))
         return request_id
 
     def step(self, request_id: int) -> None:
         """Queue the next slice (behind the worker's other requests —
         cooperative round-robin)."""
-        self._resubmit(request_id, lambda w, r: self._backend.step(w, r))
+        self._resubmit(request_id, "step")
 
     def run(self, request_id: int) -> None:
         """Queue a run-to-completion op (the intra-request fan-out path
         when the session's config asks for workers > 1)."""
-        self._resubmit(request_id, lambda w, r: self._backend.run(w, r))
+        self._resubmit(request_id, "run")
 
-    def _resubmit(self, request_id: int, op) -> None:
+    def _resubmit(self, request_id: int, kind: str) -> None:
         with self._lock:
             entry = self._handlers.get(request_id)
             if entry is None:
@@ -955,41 +731,69 @@ class WorkerPool:
             worker_id = entry[1]
             self._depths[worker_id] += 1
             self._last_progress[worker_id] = time.monotonic()
-            if worker_id in self._down:
-                self._pending[worker_id].append(
-                    lambda: op(worker_id, request_id))
-                return
-        op(worker_id, request_id)
+            jobs = self._workers[worker_id].jobs
+        jobs.put((kind, request_id, None))
 
     def cancel(self, request_id: int) -> None:
-        """Flag a request's session; it stops at its next pop whichever
-        tier hosts it (no-op once the request finished)."""
+        """Stop a request's session at its next pop, whichever tier hosts
+        it, and queue the slice-boundary cancel op (no-op once the
+        request finished).  The mid-slice stop is the request's token
+        slot on the process tier — polled by the hosted session every pop
+        and by its shards every round — and the session itself on the
+        thread tier, where it is the live search."""
         with self._lock:
             entry = self._handlers.get(request_id)
-            down = entry is not None and entry[1] in self._down
-        if entry is not None and not down:
-            self._backend.cancel(entry[1], request_id)
+            if entry is None:
+                return
+            slot = self._slots.get(request_id)
+            if slot is not None:
+                CancelToken(self._cancel_limits, slot).propose(0)
+            else:
+                entry[2].cancel()
+            jobs = self._workers[entry[1]].jobs
+        jobs.put(("cancel", request_id, None))
 
     def _on_outcome(self, outcome: SliceOutcome) -> None:
         with self._lock:
-            if outcome.incarnation != self._incarnations[outcome.worker_id]:
+            worker = self._workers[outcome.worker_id]
+            if outcome.incarnation != worker.incarnation:
                 # A replaced worker's ghost (a hung thread that woke up,
                 # a queued result from before a restart): its request
                 # was already failed over — drop it.
                 return
+            if outcome.telemetry is not None:
+                worker.telemetry = outcome.telemetry
             entry = self._handlers.get(outcome.request_id)
             depth = self._depths[outcome.worker_id] - 1
             self._depths[outcome.worker_id] = max(0, depth)
             self._last_progress[outcome.worker_id] = time.monotonic()
             if outcome.done:
                 self._handlers.pop(outcome.request_id, None)
+                self._release_slot(outcome.request_id)
         if entry is not None:
             entry[0](outcome)
+
+    def _read_outcomes(self) -> None:
+        results = self._results
+        while True:
+            try:
+                outcome = results.get()
+            except (EOFError, OSError):     # pragma: no cover - teardown
+                return
+            if outcome is None:             # _stop_reader() sentinel
+                return
+            self._on_outcome(outcome)
+
+    def _stop_reader(self, timeout_s: float) -> None:
+        reader, self._reader = self._reader, None
+        if reader is not None:
+            self._results.put(None)
+            reader.join(timeout=timeout_s)
 
     # ---------------------------------------------------------- supervision
     def add_restart_listener(self, fn: Callable[[int | None], None]) -> None:
         """Call ``fn(worker_id)`` after a worker restarts (its warm and
-        affinity state is cold), ``fn(None)`` after a backend degrade
+        affinity state is cold), ``fn(None)`` after a degrade to threads
         (every worker is cold).  Runs on the supervisor thread."""
         self._restart_listeners.append(fn)
 
@@ -1001,7 +805,8 @@ class WorkerPool:
 
     def down_workers(self) -> set[int]:
         with self._lock:
-            return set(self._down)
+            return {worker.worker_id for worker in self._workers
+                    if worker.runner is None}
 
     def _supervise(self) -> None:
         while not self._stop_supervisor.wait(SUPERVISE_INTERVAL_S):
@@ -1014,36 +819,42 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 return
-        for worker_id, reason in self._backend.dead_workers():
-            self._handle_worker_failure(worker_id, reason, hang=False)
-        for worker_id in self._hung_workers():
+            workers = list(self._workers)
+        for worker in workers:
+            reason = worker.failure()
+            if reason is not None:
+                self._handle_worker_failure(worker, reason, hang=False)
+        for worker in self._hung_workers():
             self._handle_worker_failure(
-                worker_id,
-                f"worker {worker_id} hung: no progress within "
+                worker,
+                f"worker {worker.worker_id} hung: no progress within "
                 f"{self._slice_timeout_s}s", hang=True)
 
-    def _hung_workers(self) -> list[int]:
+    def _hung_workers(self) -> list[_Worker]:
         if self._slice_timeout_s is None:
             return []
         now = time.monotonic()
         with self._lock:
-            return [i for i in range(self._size)
-                    if i not in self._down and self._depths[i] > 0
+            return [worker for i, worker in enumerate(self._workers)
+                    if worker.runner is not None and self._depths[i] > 0
                     and now - self._last_progress[i] > self._slice_timeout_s]
 
-    def _handle_worker_failure(self, worker_id: int, reason: str,
+    def _handle_worker_failure(self, failed: _Worker, reason: str,
                                hang: bool) -> None:
+        worker_id = failed.worker_id
         with self._lock:
-            if self._closed or worker_id in self._down:
+            if self._closed or self._workers[worker_id] is not failed:
                 return
-            self._down.add(worker_id)
-            self._incarnations[worker_id] += 1
-            incarnation = self._incarnations[worker_id]
+            # The replacement's queue takes ops from here on; they wait
+            # there until its runner starts.
+            worker = self._new_worker(worker_id, failed.incarnation + 1)
+            self._workers[worker_id] = worker
             affected = [(rid, entry[0])
                         for rid, entry in self._handlers.items()
                         if entry[1] == worker_id]
             for rid, _ in affected:
-                self._handlers.pop(rid, None)
+                del self._handlers[rid]
+                self._release_slot(rid)
             self._depths[worker_id] = 0
             if hang:
                 self.recovery.hangs += 1
@@ -1052,53 +863,61 @@ class WorkerPool:
         _LOG.warning("pool worker %d failed (%s): restarting (%d request%s "
                      "affected)", worker_id, reason, len(affected),
                      "" if len(affected) == 1 else "s")
-        for rid, _ in affected:
-            self._backend.forget(rid)
-        if self._restart_with_backoff(worker_id, incarnation):
-            with self._lock:
-                self._down.discard(worker_id)
-                self._last_progress[worker_id] = time.monotonic()
-                pending = self._pending[worker_id]
-                self._pending[worker_id] = []
+        failed.retire()
+        if self._restart_with_backoff(worker):
             self._notify_restart(worker_id)
-            for dispatch in pending:
-                dispatch()
         # (On the degrade path _degrade_to_threads already failed over
-        # every other live request and flushed nothing — the service
-        # re-dispatches them all onto the thread tier.)
+        # every other live request — the service re-dispatches them all
+        # onto the thread tier.)
         for rid, on_slice in affected:
             outcome = SliceOutcome(
                 request_id=rid, worker_id=worker_id, done=True,
-                status=WORKER_DIED, error=reason, incarnation=incarnation)
+                status=WORKER_DIED, error=reason,
+                incarnation=worker.incarnation)
             try:
                 on_slice(outcome)
             except Exception:       # pragma: no cover - callback guard
                 _LOG.exception("on_slice callback failed during failover")
 
-    def _restart_with_backoff(self, worker_id: int,
-                              incarnation: int) -> bool:
+    def _restart_with_backoff(self, worker: _Worker) -> bool:
         for attempt in range(MAX_SPAWN_ATTEMPTS):
             try:
-                self._backend.restart_worker(worker_id, incarnation)
+                self._spawn_check(worker)
+                self._start(worker)
             except Exception as exc:
                 with self._lock:
                     self.recovery.spawn_failures += 1
                 _LOG.warning("restart of pool worker %d failed "
-                             "(attempt %d/%d): %s", worker_id, attempt + 1,
-                             MAX_SPAWN_ATTEMPTS, exc)
+                             "(attempt %d/%d): %s", worker.worker_id,
+                             attempt + 1, MAX_SPAWN_ATTEMPTS, exc)
                 if attempt + 1 < MAX_SPAWN_ATTEMPTS:
                     time.sleep(min(2.0, RESTART_BACKOFF_S * 2 ** attempt))
                 continue
             with self._lock:
+                self._last_progress[worker.worker_id] = time.monotonic()
                 self.recovery.restarts += 1
             return True
         self._degrade_to_threads()
         return False
 
+    def _spawn_check(self, worker: _Worker) -> None:
+        """Fault-injection site for process restart failures.  The spawn
+        stream is salted with the *dead* incarnation: replacing an armed
+        incarnation is what may fail, so ``max_incarnation=1`` plans can
+        express 'the first restart fails' without crash-looping."""
+        if self.faults is None or self.backend_name != "processes":
+            return
+        dead = worker.incarnation - 1
+        injector = self._spawn_injectors.get(worker.worker_id)
+        if injector is None or injector.incarnation != dead:
+            injector = FaultInjector(self.faults, worker.worker_id, dead)
+            self._spawn_injectors[worker.worker_id] = injector
+        injector.check_spawn()
+
     def _degrade_to_threads(self) -> None:
-        """Last resort when a worker cannot be respawned: fail every
-        live request over and swap the whole pool onto the thread
-        backend — degraded service beats no service."""
+        """Last resort when a worker process cannot be respawned: fail
+        every live request over and move the whole pool onto worker
+        threads — degraded service beats no service."""
         _LOG.warning(
             "pool degrading to the thread backend after %d failed spawn "
             "attempts; live requests will be replayed on threads",
@@ -1107,25 +926,23 @@ class WorkerPool:
             survivors = [(rid, entry[0], entry[1])
                          for rid, entry in self._handlers.items()]
             self._handlers.clear()
-            for i in range(self._size):
-                self._depths[i] = 0
-                self._incarnations[i] += 1
-                self._down.discard(i)
-                self._pending[i] = []   # openers were failed over too
-            incarnations = list(self._incarnations)
+            self._slots.clear()
+            self._depths = [0] * self._size
             self.recovery.backend_degradations += 1
-            old_backend = self._backend
-            # Chaos plans target the tier they were configured for; the
-            # degraded tier must be stable, so it runs fault-free.
-            self._backend = ThreadBackend(
-                self._size, self._on_outcome, faults=None,
-                incarnations=incarnations)
             self.backend_name = "threads"
             self._degraded = True
-        try:
-            old_backend.destroy()
-        except Exception:           # pragma: no cover - teardown guard
-            _LOG.exception("process backend teardown failed during degrade")
+            # Chaos plans target the tier they were configured for; the
+            # degraded tier must be stable, so it runs fault-free.
+            self.faults = None
+            retired = self._workers
+            self._workers = [self._new_worker(i, old.incarnation + 1)
+                             for i, old in enumerate(retired)]
+            for worker in self._workers:
+                self._start(worker)
+            incarnations = [worker.incarnation for worker in self._workers]
+        for old in retired:
+            old.retire()
+        self._stop_reader(timeout_s=1.0)
         self._notify_restart(None)
         for rid, on_slice, worker_id in survivors:
             outcome = SliceOutcome(
@@ -1147,10 +964,6 @@ class WorkerPool:
                 _LOG.exception("pool restart listener failed")
 
     # ------------------------------------------------------------ telemetry
-    def queue_depth(self, worker_id: int) -> int:
-        with self._lock:
-            return self._depths[worker_id]
-
     def queue_depths(self) -> list[int]:
         with self._lock:
             return list(self._depths)
@@ -1164,11 +977,14 @@ class WorkerPool:
 
     def telemetry(self) -> dict:
         """Pool-wide counters plus per-worker breakdown (benchmarks,
-        tests, and the perf snapshot's ``pool`` section)."""
-        workers = [self._backend.telemetry(i) for i in range(self._size)]
-        depths = self.queue_depths()
+        tests, and the perf snapshot's ``pool`` section), each worker's
+        as of its latest outcome."""
+        with self._lock:
+            workers = [worker.telemetry for worker in self._workers]
+            depths = list(self._depths)
+            backend = self.backend_name
         counters = {
-            "backend": self.backend_name,
+            "backend": backend,
             "warm_hits": sum(w.warm_hits for w in workers),
             "warm_misses": sum(w.warm_misses for w in workers),
             "cold_builds": sum(w.cold_builds for w in workers),
@@ -1191,12 +1007,12 @@ class WorkerPool:
         with self._lock:
             workers = [
                 {"worker_id": i,
-                 "alive": i not in self._down,
+                 "alive": worker.runner is not None,
                  "queue_depth": self._depths[i],
-                 "incarnation": self._incarnations[i],
+                 "incarnation": worker.incarnation,
                  "last_progress_age_s": round(
                      now - self._last_progress[i], 3)}
-                for i in range(self._size)]
+                for i, worker in enumerate(self._workers)]
             return {
                 "backend": self.backend_name,
                 "degraded": self._degraded,
@@ -1213,18 +1029,24 @@ class WorkerPool:
         a worker still running past that is terminated (threads: left as
         daemons) and reported in a ``RuntimeError`` — shutdown never
         hangs, and a stuck worker is loud instead of silent.  Idempotent;
-        backend resources are reclaimed before the error is raised.
+        worker resources are reclaimed before the error is raised.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self._stop_supervisor.set()
-        # Joined before backend teardown so a restart in flight cannot
-        # spawn a worker into a closing pool.
+        # Joined before teardown so a restart in flight cannot start a
+        # worker into a closing pool.
         self._supervisor.join(timeout=timeout_s)
         atexit.unregister(self._atexit_close)
-        stuck = self._backend.close(timeout_s)
+        workers = list(self._workers)
+        for worker in workers:
+            worker.jobs.put(_CLOSE)
+        deadline = Deadline(timeout_s)
+        stuck = [worker.worker_id for worker in workers
+                 if not worker.halt(max(0.1, deadline.remaining()))]
+        self._stop_reader(timeout_s=2.0)
         if stuck:
             raise RuntimeError(
                 f"pool workers {stuck} did not drain within {timeout_s:.1f}s "

@@ -9,10 +9,9 @@ asks again.  :class:`SynthesisService` makes that loop first-class:
   *slices* (``slice_pops`` pops per turn, re-enqueued behind the worker's
   other requests — cooperative round-robin, so one giant search cannot
   monopolize a worker);
-* the worker tier is pluggable (:class:`~repro.serve.pool.WorkerPool`
-  backends): GIL-sharing threads, or — the default for pools larger than
-  one — long-lived worker processes that scale CPU-bound searches with
-  cores;
+* the :class:`~repro.serve.pool.WorkerPool` runs on one of two tiers:
+  GIL-sharing threads, or — the default for pools larger than one —
+  long-lived worker processes that scale CPU-bound searches with cores;
 * placement is *schema-affine*: requests route by ``(warm key, env
   digest)`` to the worker that already served that shape on those tables
   (hot engine caches), falling back to the least-loaded worker for new
@@ -326,11 +325,15 @@ class SynthesisService:
             request.checkpoint = session.checkpoint(strip_env=True)
         except Exception:
             request.checkpoint = None   # unpicklable: no recovery for it
-        self._live.add(request)
+        # Live only once the pool took it: a request that fails dispatch
+        # (TypeError on the process tier when it cannot pickle) leaves
+        # nothing behind.  Its outcomes reach this loop through
+        # call_soon_threadsafe, so never before the add below.
         request.request_id = self.pool.submit_request(
             session, worker_id=worker, slice_pops=self.config.slice_pops,
             deadline=request.deadline, env_key=env_key,
             on_slice=lambda outcome: self._on_slice(request, outcome))
+        self._live.add(request)
         return RequestHandle(request, self)
 
     # ----------------------------------------------------------- routing
@@ -365,7 +368,7 @@ class SynthesisService:
     def _healthy_worker(self, down: set[int] | None = None) -> int:
         """The least-loaded worker that is not mid-restart (every worker
         down is a transient — fall back to least-loaded regardless; the
-        pool buffers submissions to a restarting worker)."""
+        pool queues submissions to a restarting worker)."""
         if down is None:
             down = self.pool.down_workers()
         depths = self.pool.queue_depths()

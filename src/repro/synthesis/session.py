@@ -404,18 +404,24 @@ class SynthesisSession:
         first, and a baseline snapshot of the incoming engine pins where
         this session's accounting starts — a pool worker can hand the same
         warm engine to many sessions and each reports only its own slice.
-        ``abstraction`` supplies a matching pre-built technique instance;
-        without one the session builds (or keeps) its own and rebinds it.
+        ``abstraction`` supplies a matching pre-built technique instance.
+        Without one the session keeps its current abstraction when that is
+        unbound or bound to ``engine``, and otherwise builds its own from
+        ``abstraction_spec`` — so attaching a foreign engine never rebinds
+        an abstraction the session shares (a synthesizer's).  A pre-built
+        abstraction with no spec is rebound to ``engine``.
         """
         self._fold_engine()
         self._engine = engine
         self._engine_mark = engine.stats.snapshot()
+        if abstraction is None and self.abstraction_spec is not None and (
+                self._abstraction is None
+                or self._abstraction.engine not in (None, engine)):
+            from repro.synthesis.synthesizer import build_abstraction
+            abstraction = build_abstraction(self.abstraction_spec,
+                                            self.config)
         if abstraction is not None:
             self._abstraction = abstraction
-        elif self._abstraction is None:
-            from repro.synthesis.synthesizer import build_abstraction
-            self._abstraction = build_abstraction(self.abstraction_spec,
-                                                  self.config)
         self._abstraction.bind_engine(engine)
         self._stop_built = None
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import time
 from multiprocessing import managers, shared_memory
 
 import pytest
@@ -131,3 +133,15 @@ def dispatch_side_channels(monkeypatch):
         return seen + [("dev_shm", name)
                        for name in sorted(_shm_entries() - before)]
     return report
+
+
+@pytest.fixture
+def no_leaked_children():
+    """Fail a test that leaves a ``multiprocessing`` child running: every
+    pool worker and shard process it started must be gone within a 3 s
+    grace period after it ends (``active_children`` also reaps them)."""
+    yield
+    deadline = time.monotonic() + 3.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert multiprocessing.active_children() == []

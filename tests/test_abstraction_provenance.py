@@ -250,54 +250,31 @@ class TestValueShadowRefinement:
 
 
 class TestAnalyzerRetention:
-    """bind_engine keeps the session analyzer pinned and LRU-evicts
-    override analyzers — an explicit policy, not dict-iteration luck."""
-
-    def _engines(self, n):
-        from repro.engine import RowEngine
-        return [RowEngine() for _ in range(n)]
-
-    def test_session_analyzer_survives_many_rebinds(self):
-        prov = ProvenanceAbstraction()
-        engines = self._engines(8)          # held alive: ids stay unique
-        prov.bind_engine(engines[0])
-        session = prov.analyzer
-        for engine in engines[1:]:
-            prov.bind_engine(engine)
-        assert len(prov._analyzers) <= ProvenanceAbstraction.MAX_ANALYZERS
-        prov.bind_engine(engines[0])
-        assert prov.analyzer is session     # pinned, never evicted
-
-    def test_override_eviction_is_lru(self):
-        prov = ProvenanceAbstraction()
-        engines = self._engines(6)
-        for engine in engines[:4]:          # session + 3 overrides: at cap
-            prov.bind_engine(engine)
-        analyzers = {id(e): prov._analyzers[id(e)] for e in engines[:4]}
-        prov.bind_engine(engines[1])        # refresh override 1's recency
-        prov.bind_engine(engines[4])        # evicts override 2 (LRU), not 1
-        assert id(engines[2]) not in prov._analyzers
-        assert prov._analyzers[id(engines[1])] is analyzers[id(engines[1])]
-        assert prov._analyzers[id(engines[0])] is analyzers[id(engines[0])]
+    """One analyzer per abstraction: kept while the same engine is bound
+    again, replaced when another engine is bound."""
 
     def test_rebind_reuses_retained_analyzer(self):
+        from repro.engine import RowEngine
         prov = ProvenanceAbstraction()
-        engines = self._engines(3)
-        for engine in engines:
-            prov.bind_engine(engine)
-        first = prov._analyzers[id(engines[1])]
-        prov.bind_engine(engines[1])
-        assert prov.analyzer is first
+        first, second = RowEngine(), RowEngine()
+        prov.bind_engine(first)
+        analyzer = prov.analyzer
+        prov.bind_engine(first)
+        assert prov.analyzer is analyzer        # same engine: memo kept
+        prov.bind_engine(second)
+        assert prov.analyzer is not analyzer    # another engine: replaced
+        assert prov.analyzer.engine is second
+        assert prov.engine is second
 
     def test_stale_id_entry_replaced_not_reused(self):
-        # Simulate id() reuse: poke an entry whose analyzer points at a
-        # *different* engine object under the new engine's key.
+        # An analyzer built for a *different* engine object is never
+        # reused for the engine now bound, whatever the ids.
         from repro.engine import RowEngine
         from repro.abstraction.provenance_abs import ProvenanceAnalyzer
         prov = ProvenanceAbstraction()
         old_engine, new_engine = RowEngine(), RowEngine()
         stale = ProvenanceAnalyzer(old_engine)
-        prov._analyzers[id(new_engine)] = stale
+        prov._analyzer = stale
         prov.bind_engine(new_engine)
         assert prov.analyzer is not stale
         assert prov.analyzer.engine is new_engine

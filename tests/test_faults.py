@@ -47,6 +47,8 @@ BACKENDS = ("threads", "processes")
 START_METHODS = tuple(m for m in ("fork", "spawn")
                       if m in multiprocessing.get_all_start_methods())
 
+pytestmark = pytest.mark.usefixtures("no_leaked_children")
+
 
 def _config(task, budget=VISITED_BUDGET, **overrides):
     return task.config.replace(timeout_s=None, max_visited=budget,
@@ -153,13 +155,15 @@ def test_session_pop_hook_fires_per_pop_and_is_runtime_only():
 
 # ----------------------------------------------------------- crash recovery
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("mode", ("crash_before", "crash_mid",
                                   "crash_after", "hang"))
-def test_recovery_is_transparent_under_injected_faults(mode):
+def test_recovery_is_transparent_under_injected_faults(mode, backend):
     """The acceptance criterion: a worker killed before / a few pops
     into / after a slice (or hung mid-slice) costs a restart and a
     replay, never correctness — ranked queries and stats byte-identical
-    to the crash-free run."""
+    to the crash-free run, on either tier (a thread worker dies by its
+    thread ending, a process worker by ``os._exit``)."""
     if mode == "hang":
         plan = FaultPlan(seed=5, hang=1.0, hang_s=30.0)
         slice_timeout = 0.3
@@ -171,7 +175,8 @@ def test_recovery_is_transparent_under_injected_faults(mode):
         config = _config(SHARED)
         stop = GroundTruthStop(SHARED.ground_truth)
         reference = _reference(SHARED, config, stop)
-        svc_cfg = _chaos_config(plan, slice_timeout_s=slice_timeout)
+        svc_cfg = _chaos_config(plan, backend=backend,
+                                slice_timeout_s=slice_timeout)
         async with SynthesisService(svc_cfg) as svc:
             handle = svc.submit(SHARED.tables, SHARED.demonstration,
                                 config, stop=stop)
@@ -217,28 +222,6 @@ def test_recovery_differential_fork_and_spawn(start_method, monkeypatch):
                 assert handle.retries >= 1
         finally:
             pool.close()
-
-    asyncio.run(main())
-
-
-def test_thread_tier_crash_recovers_identically():
-    """An injected crash on the thread tier kills the worker thread; the
-    facade restarts it and the service replays — same contract as the
-    process tier."""
-    plan = FaultPlan(seed=7, crash_before=1.0)
-
-    async def main():
-        config = _config(SHARED)
-        stop = GroundTruthStop(SHARED.ground_truth)
-        reference = _reference(SHARED, config, stop)
-        svc_cfg = _chaos_config(plan, backend="threads")
-        async with SynthesisService(svc_cfg) as svc:
-            handle = svc.submit(SHARED.tables, SHARED.demonstration,
-                                config, stop=stop)
-            result = await handle.result()
-            _assert_identical(reference, result)
-            assert handle.retries >= 1
-            assert svc.pool.telemetry()["restarts"] >= 1
 
     asyncio.run(main())
 
@@ -318,14 +301,17 @@ def test_cancel_during_recovery_still_ends_cancelled():
     asyncio.run(main())
 
 
-def test_cancel_vs_crash_race_never_fails_the_request():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cancel_vs_crash_race_never_fails_the_request(backend):
     """The worker dies exactly while applying a cancel op.  Whatever the
     interleaving (cancel flag already stopped the session, or the crash
-    beat it), the request ends CANCELLED and the pool stays usable."""
+    beat it), the request ends CANCELLED and the pool stays usable.  On
+    the thread tier too the crash happens in the worker, never in the
+    caller's ``cancel()``."""
     plan = FaultPlan(seed=4, crash_on_cancel=1.0)
 
     async def main():
-        svc_cfg = _chaos_config(plan)
+        svc_cfg = _chaos_config(plan, backend=backend)
         async with SynthesisService(svc_cfg) as svc:
             config = _config(HARD, budget=10**8, top_n=10**6)
             handle = svc.submit(HARD.tables, HARD.demonstration, config)

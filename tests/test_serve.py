@@ -54,6 +54,8 @@ DETERMINISTIC_FIELDS = ("visited", "pruned", "expanded", "concrete_checked",
 
 BACKENDS = ("threads", "processes")
 
+pytestmark = pytest.mark.usefixtures("no_leaked_children")
+
 
 def _config(task, budget=VISITED_BUDGET, **overrides):
     return task.config.replace(timeout_s=None, max_visited=budget,
@@ -451,24 +453,52 @@ def test_recycled_pool_slot_reads_no_limit():
 
     async def main():
         pool = WorkerPool(1, backend="processes")
-        backend = pool._backend
         async with SynthesisService(ServiceConfig(pool_size=1,
                                                   slice_pops=20),
                                     pool=pool) as svc:
             hard = svc.submit(HARD.tables, HARD.demonstration,
                               _config(HARD, budget=10**6, top_n=10**6))
-            (slot,) = backend._slots.values()
+            (slot,) = pool._slots.values()
             hard.cancel()
             await hard.result()
             assert hard.status == "cancelled"
-            assert CancelToken(backend._cancel_limits, slot).limit() == 0
-            assert backend._free_slots[-1] == slot      # reused next
+            assert CancelToken(pool._cancel_limits, slot).limit() == 0
+            assert pool._free_slots[-1] == slot         # reused next
             handle = svc.submit(EASY.tables, EASY.demonstration, config)
-            assert CancelToken(backend._cancel_limits, slot).limit() \
+            assert CancelToken(pool._cancel_limits, slot).limit() \
                 == NO_LIMIT
             _assert_identical(reference, await handle.result())
             assert handle.status == "done"
         pool.close()
+
+    asyncio.run(main())
+
+
+def test_unpicklable_request_fails_dispatch_and_leaves_nothing_live():
+    """On the process tier a request ships pickled: one whose stop
+    condition is a plain callable fails at ``submit`` with a
+    ``TypeError`` naming the fix, and leaves no live request, queued op
+    or handler behind — admission, later requests and ``close()`` all
+    carry on."""
+    async def main():
+        svc_cfg = ServiceConfig(pool_size=1, max_requests=2, slice_pops=50,
+                                pool_backend="processes")
+        svc = SynthesisService(svc_cfg)
+        config = _config(EASY)
+        for _ in range(3):          # past max_requests: nothing leaked
+            with pytest.raises(TypeError, match="StopSpec") as excinfo:
+                svc.submit(EASY.tables, EASY.demonstration, config,
+                           stop=lambda query: False)
+            assert excinfo.value.__cause__ is not None
+        assert svc.health()["live_requests"] == 0
+        assert svc.pool.queue_depths() == [0]
+        handle = svc.submit(EASY.tables, EASY.demonstration, config,
+                            stop=GroundTruthStop(EASY.ground_truth))
+        _assert_identical(
+            _reference(EASY, config, GroundTruthStop(EASY.ground_truth)),
+            await handle.result())
+        assert handle.status == "done"
+        await asyncio.wait_for(svc.close(), timeout=30.0)
 
     asyncio.run(main())
 

@@ -1,4 +1,4 @@
-"""Abstract tables: grids of over-approximated provenance sets.
+"""Abstract tables: columns of over-approximated provenance sets.
 
 Each abstract cell carries
 
@@ -10,14 +10,20 @@ Each abstract cell carries
   values survive operators that only move rows around, and they are what
   lets the analyzer apply the *strong* abstraction tier (grouping needs
   concrete key values: ``extractGroups([[T◦[c̄]]])``).
+
+Tables are column-major: a tuple of cell columns.  Operators that keep
+their child's columns (filter, sort, projection) reuse the column objects,
+and those that add one (partition, arithmetic) append it to them, so
+sibling partial queries share every column their parameters do not
+change.  The analyzer and the Definition-3 check key their memos by the
+identity of such pinned columns, and key by content only through
+:func:`column_key`, which tells apart the values ``value_eq`` tells apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.lang.ast import install_cached_hash
 from repro.table.values import Value
 
 
@@ -49,8 +55,8 @@ def head_matches(demo_kind: str, host_head: str) -> bool:
 class AbstractCell(NamedTuple):
     """One cell of an abstract table (a tuple: C-level hash and equality).
 
-    Only known cells carry a value, so a cell's fields are also its
-    signature for deduplication.
+    Only known cells carry a value, so a cell's fields, with its value's
+    type, are its signature (see :func:`column_key`).
     """
 
     refs: int
@@ -63,37 +69,56 @@ class AbstractCell(NamedTuple):
         return AbstractCell(refs, None, False, head)
 
 
-@dataclass(frozen=True)
-class AbstractTable:
-    """An abstract output ``T◦``: rows of :class:`AbstractCell`.
+def column_key(column: tuple[AbstractCell, ...]) -> tuple:
+    """A content key for a cell column that is equal only for columns
+    ``value_eq`` cannot tell apart.
 
-    ``rows_exact`` records whether the row *set* is exact or a superset of
-    every possible instantiation's rows (it becomes a superset once an
-    uninstantiated filter/join predicate is passed through).  Aggregate
-    shadow values may only be computed over exact row sets.
+    Python equates ``True`` with ``1`` and ``False`` with ``0``, and
+    ``value_eq`` does not, so the key pairs the cells with their value
+    types.
+    """
+    return column, tuple([cell.value.__class__ for cell in column])
+
+
+class AbstractTable(NamedTuple):
+    """An abstract output ``T◦``: ``n_rows`` rows, stored as ``columns`` of
+    :class:`AbstractCell` (a tuple, like its cells).
+
+    A table without rows has no columns either (it has no cells), as the
+    row grid it abstracts.  ``rows_exact`` records whether the row *set* is
+    exact or a superset of every possible instantiation's rows (it becomes
+    a superset once an uninstantiated filter/join predicate is passed
+    through).  Aggregate shadow values may only be computed over exact row
+    sets.  Columns are shared between tables and must never be mutated.
     """
 
-    rows: tuple[tuple[AbstractCell, ...], ...]
+    columns: tuple[tuple[AbstractCell, ...], ...]
+    n_rows: int
     rows_exact: bool = True
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def from_rows(cls, rows, rows_exact: bool = True) -> "AbstractTable":
+        """The table whose rows are ``rows`` (tuples of cells)."""
+        rows = tuple(rows)
+        return cls(tuple(zip(*rows)) if rows else (), len(rows), rows_exact)
 
     @property
     def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.columns)
+
+    @property
+    def rows(self) -> tuple[tuple[AbstractCell, ...], ...]:
+        """The cells row by row (a read view, built on each access)."""
+        if not self.columns:
+            return ((),) * self.n_rows
+        return tuple(zip(*self.columns))
 
     def cell(self, i: int, j: int) -> AbstractCell:
-        return self.rows[i][j]
+        return self.columns[j][i]
 
     def column(self, j: int) -> list[AbstractCell]:
-        return [row[j] for row in self.rows]
+        return list(self.columns[j])
 
     def column_known(self, cols: tuple[int, ...]) -> bool:
         """True when every cell of every listed column has a known value."""
-        return all(row[c].known for row in self.rows for c in cols)
-
-
-# Tables key the analyzer's caches and the verdict memo: hash each once.
-install_cached_hash(AbstractTable)
+        return all(cell.known for c in cols for cell in self.columns[c])

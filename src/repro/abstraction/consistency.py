@@ -11,7 +11,12 @@ partial query satisfies the demonstration — the pruning foundation.
 References are bitsets over the env's :class:`~repro.provenance.refs.RefIndex`
 numbering, so ``ref(E[i,j]) ⊆ T◦[r, c]`` is one ``need & ~refs`` and the
 per-(demo column, abstract column) row masks of the embedding search are
-built directly, without a per-cell callback.
+built directly, without a per-cell callback.  Abstract tables are
+column-major and sibling partial queries share all but one column object,
+so the masks are built per column — over the column's distinct cells — and
+memoized per (column, demo, env) by the column's identity (in the
+caller's :class:`DemoAnalysisCache`): a sibling's check computes the masks
+of its new column only.
 
 Value-shadow refinement (sound, ablatable)
 ------------------------------------------
@@ -29,6 +34,7 @@ without enumerating its entire downstream subtree.
 from __future__ import annotations
 
 from repro.abstraction.cells import HEADS, AbstractTable, head_matches
+from repro.engine.cache import BoundedCache
 from repro.errors import ExpressionError
 from repro.lang.ast import Env
 from repro.lang.functions import function_spec
@@ -79,8 +85,14 @@ def _demo_analysis(demo: Demonstration, env: Env,
     return refs, values, heads
 
 
+#: Abstract columns whose Definition-3 masks a :class:`DemoAnalysisCache`
+#: keeps.
+DEFAULT_MASK_CACHE = 50_000
+
+
 class DemoAnalysisCache:
-    """Instance-owned memo of per-cell demo analyses.
+    """Instance-owned memo of the demo side of Definition 3: per-cell demo
+    analyses, and each abstract column's masks against a demonstration.
 
     Demonstrations and environments are fixed across the thousands of
     feasibility checks of one synthesis run, so their extracted refs
@@ -93,6 +105,11 @@ class DemoAnalysisCache:
     values.  (Both objects are still identity-checked on every hit as a
     belt-and-braces guard.)
 
+    :attr:`masks` holds each abstract column's masks per (column, demo,
+    env) — keyed by the column's identity, since sibling partial queries
+    share all but one column object — and each entry pins its column, demo
+    and env alike.
+
     The cache is owned by whoever performs the consistency checks
     (normally a :class:`~repro.abstraction.provenance_abs.ProvenanceAbstraction`
     instance) — there is no module-global evaluation state, matching the
@@ -102,6 +119,7 @@ class DemoAnalysisCache:
     def __init__(self, maxsize: int = 256) -> None:
         self._maxsize = maxsize
         self._entries: dict[tuple[int, int, bool], tuple] = {}
+        self.masks: BoundedCache = BoundedCache(DEFAULT_MASK_CACHE)
 
     def analysis(self, demo: Demonstration, env: Env,
                  value_shadow: bool) -> tuple:
@@ -117,9 +135,59 @@ class DemoAnalysisCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.masks.clear()
 
     def __len__(self) -> int:
+        """The number of demo analyses held."""
         return len(self._entries)
+
+
+def _demo_fits(demo: Demonstration, analysis: tuple,
+               head_typing: bool) -> list[list[tuple]]:
+    """Per demo column, per demo row: what an abstract cell must offer —
+    ``(refs needed, accepted heads or None, demonstrated value or
+    _NO_VALUE)``."""
+    refs, values, heads = analysis
+    return [[(refs[i][j],
+              _ACCEPTED_HEADS[heads[i][j]] if head_typing else None,
+              values[i][j] if values is not None else _NO_VALUE)
+             for i in range(demo.n_rows)]
+            for j in range(demo.n_cols)]
+
+
+def _column_masks(column, fits: list[list[tuple]]
+                  ) -> tuple[tuple[int, ...] | None, ...]:
+    """The column's Definition-3 masks against one demonstration.
+
+    One entry per demo column ``j``: the per-demo-row bitmasks of the
+    column's rows that can host demo cell ``(i, j)``, or ``None`` when
+    some demo row has no such row.  Each distinct cell is judged once and
+    its row bits broadcast; cells are told apart by value type too, since
+    ``value_eq`` tells ``True`` from ``1``.
+    """
+    distinct: dict[tuple, int] = {}
+    bit = 1
+    for cell in column:
+        key = (cell, cell.value.__class__)
+        distinct[key] = distinct.get(key, 0) | bit
+        bit <<= 1
+    matrix = []
+    for demo_column in fits:
+        masks: list[int] | None = []
+        for need, heads, demonstrated in demo_column:
+            mask = 0
+            for (cell, _), rows in distinct.items():
+                if not need & ~cell.refs \
+                        and (heads is None or cell.head in heads) \
+                        and (demonstrated is _NO_VALUE or not cell.known
+                             or value_eq(cell.value, demonstrated)):
+                    mask |= rows
+            if not mask:
+                masks = None
+                break
+            masks.append(mask)
+        matrix.append(None if masks is None else tuple(masks))
+    return tuple(matrix)
 
 
 def abstract_consistent(table: AbstractTable, demo: Demonstration,
@@ -140,67 +208,48 @@ def abstract_consistent(table: AbstractTable, demo: Demonstration,
     not-yet-instantiated upper operators from shielding wrong lower
     parameters.
 
-    ``demo_cache`` memoizes the demo analysis across calls; when omitted
-    the analysis is computed fresh (the direct-API / test path).
+    ``demo_cache`` memoizes the demo analysis and each column's masks
+    across calls (a sibling that shares all but one column with an earlier
+    table pays for that column only); when omitted, everything is computed
+    fresh (the direct-API / test path).
     """
-    if demo_cache is not None:
-        demo_refs, demo_vals, demo_heads = \
-            demo_cache.analysis(demo, env, value_shadow)
-    else:
-        demo_refs, demo_vals, demo_heads = \
-            _demo_analysis(demo, env, value_shadow)
     n_demo_rows, n_demo_cols = demo.n_rows, demo.n_cols
-
-    # Weak / medium abstraction tiers produce many identical rows (the whole
-    # table collapses to one shape).  The embedding only needs each distinct
-    # row up to ``demo.n_rows`` times (injectivity is per-row-slot), so
-    # deduplicating with a multiplicity cap shrinks the matching problem from
-    # hundreds of rows to a handful.  A row's cells are its signature: refs,
-    # value (only known cells carry one), known flag and head all decide
-    # which demo cells it can host.
-    kept_rows: list[tuple] = []
-    seen: dict[tuple, int] = {}
-    for row in table.rows:
-        count = seen.get(row, 0)
-        if count < n_demo_rows:
-            seen[row] = count + 1
-            kept_rows.append(row)
-    n_rows, n_cols = len(kept_rows), table.n_cols
-    if n_demo_rows > n_rows or n_demo_cols > n_cols:
+    n_rows = table.n_rows
+    if n_demo_rows > n_rows or n_demo_cols > table.n_cols:
         return False
 
     # Demo cell (i, j) fits abstract cell (r, c) when its refs are a subset,
     # the cell's head can produce its kind, and a known shadow value equals
     # the demonstrated one.  Per (demo column, abstract column) this yields
-    # one row bitmask per demo row; a column pair dies at its first empty
-    # mask, and the bitset backtracking shared with the Definition-1 fast
-    # path searches the survivors.
-    columns = [[row[c] for row in kept_rows] for c in range(n_cols)]
+    # one row bitmask per demo row, and the bitset backtracking shared with
+    # the Definition-1 fast path searches the compatible pairs.  Every row
+    # takes part, as in the definition; a repeated row costs one more mask
+    # bit, not one more judgment (each distinct cell is judged once).
+    mask_memo = None if demo_cache is None else demo_cache.masks
+    fits = None
+    matrices = []
+    for column in table.columns:
+        if mask_memo is not None:
+            key = (id(column), id(demo), id(env), value_shadow, head_typing)
+            hit = mask_memo.get(key)
+            if hit is not None and hit[0] is column and hit[1] is demo \
+                    and hit[2] is env:
+                matrices.append(hit[3])
+                continue
+        if fits is None:
+            analysis = demo_cache.analysis(demo, env, value_shadow) \
+                if demo_cache is not None \
+                else _demo_analysis(demo, env, value_shadow)
+            fits = _demo_fits(demo, analysis, head_typing)
+        matrix = _column_masks(column, fits)
+        if mask_memo is not None:
+            mask_memo[key] = (column, demo, env, matrix)
+        matrices.append(matrix)
+
     options: list[list[MaskOption]] = []
     for j in range(n_demo_cols):
-        demo_column = [
-            (demo_refs[i][j],
-             _ACCEPTED_HEADS[demo_heads[i][j]] if head_typing else None,
-             demo_vals[i][j] if demo_vals is not None else _NO_VALUE)
-            for i in range(n_demo_rows)]
-        opts: list[MaskOption] = []
-        for c, column in enumerate(columns):
-            masks: list[int] = []
-            for need, heads, demonstrated in demo_column:
-                mask = 0
-                bit = 1
-                for cell in column:
-                    if not need & ~cell.refs \
-                            and (heads is None or cell.head in heads) \
-                            and (demonstrated is _NO_VALUE or not cell.known
-                                 or value_eq(cell.value, demonstrated)):
-                        mask |= bit
-                    bit <<= 1
-                if not mask:
-                    break
-                masks.append(mask)
-            else:
-                opts.append((c, tuple(masks)))
+        opts = [(c, matrix[j]) for c, matrix in enumerate(matrices)
+                if matrix[j] is not None]
         if not opts:
             return False
         options.append(opts)

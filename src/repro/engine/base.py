@@ -20,14 +20,21 @@ from dataclasses import dataclass, fields
 from collections.abc import Sequence
 
 from repro.engine.cache import BoundedCache
+from repro.engine.columns import ColumnBlock
+from repro.engine.tracked_columns import TrackedBlock
 from repro.errors import HoleError
 from repro.lang import ast
 from repro.semantics.tracking import TrackedTable
 from repro.table.table import Table
 
-#: Transposed provenance grids retained by the generic
-#: :meth:`EvalEngine.tracked_columns_many` (see there).
+#: Transposed provenance blocks retained by the generic
+#: :meth:`EvalEngine.tracked_columns_many` and
+#: :meth:`EvalEngine.tracked_blocks_many` (see there).
 DEFAULT_GRID_CACHE = 50_000
+
+#: Environments whose :class:`~repro.provenance.refs.RefIndex` an engine
+#: keeps (see :meth:`EvalEngine.ref_index`).
+DEFAULT_REF_INDEXES = 16
 
 #: The evaluation engines :func:`make_engine` builds.
 BACKENDS: tuple[str, ...] = ("row", "columnar")
@@ -137,6 +144,21 @@ class EvalEngine:
         self.stats = EngineStats()
         self._consistency = None
         self._tracked_grids: BoundedCache = BoundedCache(DEFAULT_GRID_CACHE)
+        self._ref_indexes: BoundedCache = BoundedCache(DEFAULT_REF_INDEXES)
+
+    def ref_index(self, env: ast.Env):
+        """This engine's bit numbering of ``env``'s input cells.
+
+        One :class:`~repro.provenance.refs.RefIndex` per environment, so
+        every tracked term this engine hands out is numbered once, whoever
+        asks: the provenance analyzer lifting concrete subqueries and
+        hole-domain inference reading a child's column refs alike.
+        """
+        index = self._ref_indexes.get(env)
+        if index is None:
+            from repro.provenance.refs import RefIndex
+            index = self._ref_indexes[env] = RefIndex(env)
+        return index
 
     @property
     def consistency(self):
@@ -153,11 +175,14 @@ class EvalEngine:
             self._consistency = ConsistencyChecker(self)
         return self._consistency
 
-    def _reset_consistency(self) -> None:
-        """Drop consistency-path state; subclasses call from ``reset()``."""
+    def _reset_base_state(self) -> None:
+        """Drop the state this base class owns (the consistency checker's,
+        the transposed grids and the ref indexes); subclasses call this
+        from ``reset()``."""
         if self._consistency is not None:
             self._consistency.clear()
         self._tracked_grids.clear()
+        self._ref_indexes.clear()
 
     def evaluate(self, query: ast.Query, env: ast.Env) -> Table:
         """``[[q(T̄)]]`` for a concrete query (raises ``HoleError`` on holes)."""
@@ -225,8 +250,26 @@ class EvalEngine:
         additionally shared by identity *across sibling candidates* — the
         structural key the checker memoizes match state on.
         """
+        return [None if block is None else block.expr_columns
+                for block in self._transposed_blocks(queries, env, errors)]
+
+    def tracked_blocks_many(self, queries: Sequence[ast.Query],
+                            env: ast.Env) -> list[TrackedBlock]:
+        """:meth:`tracked_columns_many` with the value columns: one
+        :class:`~repro.engine.tracked_columns.TrackedBlock` per query, in
+        input order (an ill-typed query raises).
+
+        The provenance analyzer lifts concrete subqueries from these and
+        memoizes each lifted column by the identity of its expression and
+        value columns, so on the columnar backend, whose columns sibling
+        queries share, a sibling lifts its new columns only.
+        """
+        return self._transposed_blocks(queries, env, "raise")
+
+    def _transposed_blocks(self, queries: Sequence[ast.Query], env: ast.Env,
+                           errors: str) -> list[TrackedBlock | None]:
         cache = self._tracked_grids
-        out: list[tuple | None] = [None] * len(queries)
+        out: list[TrackedBlock | None] = [None] * len(queries)
         missing: list[int] = []
         for idx, query in enumerate(queries):
             hit = cache.get((query, env))
@@ -242,10 +285,15 @@ class EvalEngine:
         for idx, table in zip(missing, tables):
             if table is None:
                 continue
-            grid = tuple(zip(*table.exprs)) if table.exprs else \
-                tuple(() for _ in table.columns)
-            cache[(queries[idx], env)] = grid
-            out[idx] = grid
+            n_rows = len(table.exprs)
+            if n_rows:
+                block = TrackedBlock(tuple(zip(*table.exprs)), ColumnBlock(
+                    tuple(zip(*table.values)), n_rows))
+            else:
+                empty = tuple(() for _ in table.columns)
+                block = TrackedBlock(empty, ColumnBlock(empty, 0))
+            cache[(queries[idx], env)] = block
+            out[idx] = block
         return out
 
     @staticmethod

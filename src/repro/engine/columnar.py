@@ -188,14 +188,25 @@ class ColumnarEngine(EvalEngine):
         incremental checker's match-state memo keys on.
         """
         self._check_errors_mode(errors)
+        return [None if block is None else block.expr_columns
+                for block in self._cached_blocks(queries, env, errors)]
+
+    def tracked_blocks_many(self, queries: Sequence[ast.Query],
+                            env: ast.Env) -> list[TrackedBlock]:
+        """The cached ``TrackedBlock``s themselves: expression and value
+        columns, shared by identity across sibling queries."""
+        return self._cached_blocks(queries, env, "raise")
+
+    def _cached_blocks(self, queries: Sequence[ast.Query], env: ast.Env,
+                       errors: str) -> list[TrackedBlock | None]:
         cache, stats = self._tracked_blocks, self.stats
-        out: list[tuple | None] = []
+        out: list[TrackedBlock | None] = []
         for query in queries:
             key = (query, env)
             hit = cache.get(key)
             if hit is not None:
                 stats.tracking_hits += 1
-                out.append(hit.expr_columns)
+                out.append(hit)
                 continue
             if not self._is_concrete(query):
                 raise HoleError(f"cannot track a partial query: {query}")
@@ -208,7 +219,7 @@ class ColumnarEngine(EvalEngine):
                 out.append(None)
                 continue
             cache[key] = block
-            out.append(block.expr_columns)
+            out.append(block)
         return out
 
     def reset(self) -> None:
@@ -221,7 +232,7 @@ class ColumnarEngine(EvalEngine):
         self._col_types.clear()
         self._names.clear()
         self._concreteness.clear()
-        self._reset_consistency()
+        self._reset_base_state()
         self.stats = EngineStats()
 
     def _is_concrete(self, query: ast.Query) -> bool:

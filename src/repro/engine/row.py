@@ -95,5 +95,5 @@ class RowEngine(EvalEngine):
     def reset(self) -> None:
         self._concrete.clear()
         self._tracking.clear()
-        self._reset_consistency()
+        self._reset_base_state()
         self.stats = EngineStats()

@@ -288,17 +288,20 @@ def install_cached_hash(cls) -> None:
 
     Query trees are immutable and shared structurally; every evaluation
     cache keys on them, so each node's hash is requested many times while
-    the dataclass-generated hash re-walks the whole subtree on every call
-    (abstract tables reuse this for the same reason).
+    the dataclass-generated hash re-walks the whole subtree on every call.
+    The class name is mixed in, since node types share field layouts.
     The cached value is process-local (str hashing is seeded) and is
     excluded from pickled state.
     """
     generated = cls.__hash__
 
-    def __hash__(self, _generated=generated):
+    def __hash__(self, _generated=generated, _salt=hash(cls.__name__)):
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = _generated(self)
+            # The generated hash covers the fields only: without the class
+            # name, a Group and a Partition over the same fields collide in
+            # every cache.
+            cached = _generated(self) ^ _salt
             object.__setattr__(self, "_hash", cached)
         return cached
 

@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+from repro.engine.cache import BoundedCache
 from repro.provenance.expr import CellRef, Const, Expr, FuncApp, GroupSet
+
+#: Compound terms, and term grids, whose bitsets one index remembers.
+DEFAULT_TERM_CACHE = 50_000
+DEFAULT_COLUMN_BITS_CACHE = 5_000
 
 
 def refs_of(expr: Expr) -> frozenset[CellRef]:
@@ -42,11 +47,19 @@ class RefIndex:
     abstract cell ever holds — exactly as such a reference is in no
     frozenset of real cells.
 
-    An index is owned by whoever numbers with it (an analyzer, a demo
-    analysis); it is never module-global and never pickled.
+    Tracked terms are immutable and shared by reference across the tracked
+    tables of one engine, so the bitset of each compound term is numbered
+    once and remembered by the term's identity, and so are the per-column
+    unions of a tracked table's grid (:meth:`column_bits`).  Each entry
+    pins its object, so the id cannot be recycled while the entry lives.
+
+    An index is owned by whoever numbers with it (an engine, see
+    :meth:`~repro.engine.base.EvalEngine.ref_index`, or a demo analysis);
+    it is never module-global and never pickled.
     """
 
-    __slots__ = ("_layout", "_offsets", "_tables", "_foreign")
+    __slots__ = ("_layout", "_offsets", "_tables", "_foreign", "_terms",
+                 "_grids")
 
     def __init__(self, env) -> None:
         #: name -> (offset, arity, rows); the first table of a name wins,
@@ -63,6 +76,8 @@ class RefIndex:
                 self._tables.append((table.name, arity))
             offset += rows * arity
         self._foreign = 1 << offset
+        self._terms: BoundedCache = BoundedCache(DEFAULT_TERM_CACHE)
+        self._grids: BoundedCache = BoundedCache(DEFAULT_COLUMN_BITS_CACHE)
 
     def __reduce__(self):
         raise TypeError("a RefIndex is process-local and never pickled")
@@ -80,11 +95,29 @@ class RefIndex:
         if isinstance(expr, Const):
             return 0
         if isinstance(expr, (FuncApp, GroupSet)):
+            hit = self._terms.get(id(expr))
+            if hit is not None and hit[0] is expr:
+                return hit[1]
             out = 0
             for child in expr.children():
                 out |= self.bits(child)
+            self._terms[id(expr)] = (expr, out)
             return out
         raise TypeError(f"not a provenance term: {expr!r}")
+
+    def column_bits(self, grid, n_cols: int) -> tuple[int, ...]:
+        """Per-column union of the bitsets of ``grid``, rows of ``n_cols``
+        terms (a tracked table's ``exprs``)."""
+        hit = self._grids.get(id(grid))
+        if hit is not None:
+            return hit[1]
+        bits = self.bits
+        out = [0] * n_cols
+        for row in grid:
+            for c, expr in enumerate(row):
+                out[c] |= bits(expr)
+        hit = self._grids[id(grid)] = (grid, tuple(out))
+        return hit[1]
 
     def decode(self, bits: int) -> frozenset[CellRef]:
         """The cell references of a bitset (the inverse of :meth:`bits`

@@ -110,22 +110,18 @@ def _numeric_cols(table: Table) -> list[int]:
 
 
 def _child_column_refs(child: ast.Query, env: ast.Env, engine,
-                       index: RefIndex) -> list[int]:
+                       index: RefIndex) -> tuple[int, ...]:
     """Per-column input-cell reference bitsets of a concrete child's
-    output."""
+    output (``index`` is the engine's, which numbers each tracked table
+    once)."""
     tracked = engine.evaluate_tracking(child, env)
-    bits = index.bits
-    out = [0] * tracked.n_cols
-    for row in tracked.exprs:
-        for c, expr in enumerate(row):
-            out[c] |= bits(expr)
-    return out
+    return index.column_bits(tracked.exprs, tracked.n_cols)
 
 
 def _suggested_key_cols(child: ast.Query, env: ast.Env,
                         demo: Demonstration, engine) -> frozenset[int]:
     """Child columns that plain-reference demo columns point at."""
-    index = RefIndex(env)
+    index = engine.ref_index(env)
     col_refs = _child_column_refs(child, env, engine, index)
     suggested = set()
     for j in range(demo.n_cols):
@@ -155,7 +151,7 @@ def _order_keys(domain: list[tuple[int, ...]], child: ast.Query,
 def _suggested_agg_cols(child: ast.Query, env: ast.Env,
                         demo: Demonstration, engine) -> frozenset[int]:
     """Child columns whose refs cover an aggregate-headed demo cell."""
-    index = RefIndex(env)
+    index = engine.ref_index(env)
     col_refs = _child_column_refs(child, env, engine, index)
     suggested = set()
     for row in demo.cells:

@@ -21,10 +21,14 @@ from repro.lang import (
     Sort,
     TableRef,
 )
+from repro.engine import make_engine
+from repro.lang.holes import fill, holes_of
 from repro.provenance import Demonstration, cell, func, partial_func
 from repro.provenance.expr import CellRef
 from repro.provenance.refs import RefIndex, refs_of
 from repro.semantics import evaluate_tracking
+from repro.synthesis.config import SynthesisConfig
+from repro.synthesis.domains import hole_domain
 from repro.table import Table
 
 H = Hole
@@ -147,6 +151,16 @@ class TestStrongTier:
                   agg_col=H("agg_col"))
         abs_t = abstract_eval(q, env)
         assert abs_t.n_rows == 2
+
+    def test_empty_keys_group_each_table_whole(self, env):
+        # keys=() reads no column: the grouping memo must tell tables
+        # apart by their row count.
+        analyzer = ProvenanceAbstraction().analyzer
+        five = analyzer.abstract_eval(TableRef("T"), env)
+        two = analyzer.abstract_eval(
+            Group(TableRef("T"), keys=(0,), agg_func="sum", agg_col=2), env)
+        assert analyzer.grouping(five, ()) == (tuple(range(5)),)
+        assert analyzer.grouping(two, ()) == ((0, 1),)
 
     def test_aggregate_shadow_value_when_known(self, env):
         q = Group(TableRef("T"), keys=(0,), agg_func="sum", agg_col=2)
@@ -344,7 +358,8 @@ class TestDemoAnalysisCache:
 
 class TestVerdictMemo:
     """``ProvenanceAbstraction.feasible`` memoizes Definition-3 verdicts by
-    (abstract table, env, demo), pinning and identity-checking both."""
+    (the table's interned columns, n_rows, env, demo), pinning all of them
+    and identity-checking env and demo."""
 
     def test_equal_tables_share_one_verdict(self, env):
         prov = ProvenanceAbstraction()
@@ -364,11 +379,12 @@ class TestVerdictMemo:
                   agg_col=H("agg_col"))
         assert prov.feasible(q, env, demo)
         (key,) = list(prov._verdicts)
+        columns = prov._verdicts[key][2]
         other_env = Env.of(Table.from_rows("T", ["a", "b", "c"],
                                            [["x", 0, 0]] * 5))
-        prov._verdicts[key] = (other_env, demo, False)
+        prov._verdicts[key] = (other_env, demo, columns, False)
         assert prov.feasible(q, env, demo)
-        assert prov._verdicts[key] == (env, demo, True)
+        assert prov._verdicts[key] == (env, demo, columns, True)
 
 
 class TestRefIndex:
@@ -413,6 +429,20 @@ class TestRefIndex:
         with pytest.raises(TypeError):
             pickle.dumps(RefIndex(env))
 
+    def test_engine_numbers_each_tracked_table_once(self, env):
+        engine = make_engine("columnar")
+        index = engine.ref_index(env)
+        assert engine.ref_index(env) is index
+        tracked = engine.evaluate_tracking(
+            Group(TableRef("T"), keys=(0,), agg_func="sum", agg_col=2), env)
+        fresh = RefIndex(env)
+        expected = tuple(
+            fresh.bits(tracked.exprs[0][c]) | fresh.bits(tracked.exprs[1][c])
+            for c in range(tracked.n_cols))
+        first = index.column_bits(tracked.exprs, tracked.n_cols)
+        assert first == expected
+        assert index.column_bits(tracked.exprs, tracked.n_cols) is first
+
 
 class TestPickling:
     """Cached hashes and ref indexes stay in their process."""
@@ -424,17 +454,19 @@ class TestPickling:
         assert prov.feasible(q, env, _group_sum_demo())
         table = abstract_eval(q, env)
         hash(env), hash(table)
-        assert "_hash" in vars(env) and "_hash" in vars(table)
+        # Tables keep no cached hash at all: memos key them by column
+        # identity, never by hashing the whole grid.
+        assert "_hash" in vars(env) and not hasattr(table, "__dict__")
         for obj in (env, table):
             blob = pickle.dumps(obj)
             assert b"RefIndex" not in blob
             clone = pickle.loads(blob)
-            assert "_hash" not in vars(clone)
+            assert "_hash" not in getattr(clone, "__dict__", {})
             assert clone == obj and hash(clone) == hash(obj)
 
 
 class TestRowDedup:
-    """Definition 3 deduplicates abstract rows by their full signature."""
+    """Definition 3 tells abstract cells apart by their full signature."""
 
     def test_rows_differing_only_in_head_are_kept(self, env):
         # Both rows may draw from the same cells and neither value is
@@ -447,7 +479,7 @@ class TestRowDedup:
         )
         index = RefIndex(env)
         refs = index.bits(CellRef("T", 0, 2)) | index.bits(CellRef("T", 1, 2))
-        table = AbstractTable(
+        table = AbstractTable.from_rows(
             ((AbstractCell.unknown(refs, HEAD_ARITHMETIC),),
              (AbstractCell.unknown(refs, HEAD_AGGREGATE),)),
             rows_exact=False)
@@ -455,4 +487,88 @@ class TestRowDedup:
                                        cell("T", 1, 2))]])
         assert abstract_consistent(table, demo, env)
         assert not abstract_consistent(
-            AbstractTable(table.rows[:1], rows_exact=False), demo, env)
+            AbstractTable.from_rows(table.rows[:1], rows_exact=False), demo,
+            env)
+
+
+class TestBooleanValues:
+    """Python equates ``True`` with ``1``; ``value_eq`` does not, and no
+    memo of the pruning layer may either."""
+
+    def test_count_sibling_does_not_decide_max(self):
+        env = Env.of(Table.from_rows("T", ["k", "b"],
+                                     [["a", True], ["c", True]]))
+        demo = Demonstration.of([[cell("T", 0, 0),
+                                  func("max", cell("T", 0, 1))]])
+        q_max = Group(TableRef("T"), keys=(0,), agg_col=1, agg_func="max")
+        q_count = q_max.with_params(agg_func="count")
+        assert ProvenanceAbstraction().feasible(q_max, env, demo)
+        prov = ProvenanceAbstraction()
+        # count's cells hold 1 where max's hold True: the tables compare
+        # equal, but only max's value is the demonstrated one.
+        assert not prov.feasible(q_count, env, demo)
+        assert prov.feasible(q_max, env, demo)
+
+
+    def test_equal_looking_cells_are_judged_apart(self):
+        from repro.abstraction.cells import HEAD_REF, AbstractCell, \
+            AbstractTable
+        env = Env.of(Table.from_rows("T", ["k", "b"], [["a", True]]))
+        refs = RefIndex(env).bits(CellRef("T", 0, 1))
+        # One column whose two cells compare equal but hold 1 and True.
+        table = AbstractTable.from_rows(
+            ((AbstractCell(refs, 1, True, HEAD_REF),),
+             (AbstractCell(refs, True, True, HEAD_REF),)))
+        assert abstract_consistent(table, Demonstration.of(
+            [[cell("T", 0, 1)]]), env)
+
+
+class TestSiblingColumnSharing:
+    """Counted, not timed: siblings of one ``agg_func`` family share their
+    child's column objects, so each Definition-3 check adds the masks of
+    one new column."""
+
+    def test_each_sibling_adds_one_column(self, env):
+        prov = ProvenanceAbstraction()
+        # The columnar engine's sibling blocks share their child's columns.
+        prov.bind_engine(make_engine("columnar"))
+        demo = _group_sum_demo()
+        parent = Sort(Partition(TableRef("T"), keys=(0,), agg_col=2,
+                                agg_func=H("agg_func")),
+                      cols=H("cols"), ascending=H("ascending"))
+        position = holes_of(parent)[0]
+        assert position[1] == "agg_func"
+        # Window aggregates give every sibling a column of its own (rank
+        # and dense_rank can abstract to equal columns, which share masks).
+        config = SynthesisConfig(
+            analytic_functions=("sum", "max", "min", "count", "avg"))
+        domain = hole_domain(parent, position, env, config, demo,
+                             prov.analyzer.engine)
+        assert len(domain) == 5
+        first = None
+        for value in domain:
+            query = fill(parent, position, value)
+            before = len(prov._demo_cache.masks)
+            prov.feasible(query, env, demo)
+            table = prov.analyzer.abstract_eval(query, env)
+            if first is None:
+                first = table
+                assert len(prov._demo_cache.masks) - before == table.n_cols
+                continue
+            assert all(mine is theirs for mine, theirs
+                       in zip(table.columns[:-1], first.columns[:-1]))
+            assert table.columns[-1] is not first.columns[-1]
+            assert len(prov._demo_cache.masks) - before == 1
+
+    def test_reset_empties_every_memo(self, env):
+        prov = ProvenanceAbstraction()
+        query = Sort(Partition(TableRef("T"), keys=(0,), agg_col=2,
+                               agg_func="sum"),
+                     cols=H("cols"), ascending=H("ascending"))
+        prov.feasible(query, env, _group_sum_demo())
+        memos = (prov._demo_cache, prov._demo_cache.masks, prov._verdicts,
+                 prov.engine._ref_indexes)
+        assert all(len(memo) for memo in memos)
+        assert any(len(memo) for memo in prov.analyzer.memos())
+        prov.reset()
+        assert all(len(memo) == 0 for memo in memos + prov.analyzer.memos())

@@ -1,8 +1,8 @@
 """Definition 3 against a frozenset reference.
 
-The pruning path judges ``E ◁ T◦`` over int bitsets, with row masks built
-inline and verdicts memoized per abstract table.  The reference below is the
-plain reading of the definition: refs as ``frozenset[CellRef]``, one
+The pruning path judges ``E ◁ T◦`` over int bitsets, with row masks
+memoized per abstract column and verdicts per the table's columns.  The
+reference below is the plain reading of the definition: refs as ``frozenset[CellRef]``, one
 ``cell_ok`` callback per (demo cell, abstract cell) pair, and the generic
 grid search :func:`repro.util.matching.embedding_exists` over every
 abstract row (on registry tables, identical rows are capped at one copy
@@ -13,9 +13,20 @@ per demo row: they are interchangeable).  Both must agree
   included), and
 * on hypothesis-generated tables and demonstrations, under every
   combination of the value-shadow and head-typing refinements.
+
+Each registry search's outcome is also pinned: a rewritten abstract rule
+that builds a different table would still agree with the reference on
+that table, so the search counters and ranked queries must match the
+digests in ``definition3_search_digests.json``.  Regenerate that file
+(only when search results are meant to change) with
+``PYTHONPATH=src python tests/test_definition3_differential.py``.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,8 +65,9 @@ def reference_abstract_consistent(table: AbstractTable, demo: Demonstration,
     copies: dict[tuple, int] = {}
     for row in table.rows:
         if cap_copies:
-            copies[row] = copies.get(row, 0) + 1
-            if copies[row] > demo.n_rows:
+            key = _typed(row)
+            copies[key] = copies.get(key, 0) + 1
+            if copies[key] > demo.n_rows:
                 continue
         rows.append([(decoded.setdefault(c.refs, index.decode(c.refs)), c)
                      for c in row])
@@ -81,6 +93,16 @@ def reference_abstract_consistent(table: AbstractTable, demo: Demonstration,
                             table.n_cols, cell_ok)
 
 
+def _typed(cells) -> tuple:
+    """Cells with their value types: ``True == 1`` in Python, but not under
+    ``value_eq``, so equal-looking cells may judge differently."""
+    return tuple((cell, type(cell.value)) for cell in cells)
+
+
+def _table_key(table: AbstractTable) -> tuple:
+    return table.n_rows, tuple(_typed(column) for column in table.columns)
+
+
 def _demonstrated(expr, env: Env):
     try:
         return expr.evaluate(env)
@@ -89,6 +111,34 @@ def _demonstrated(expr, env: Env):
 
 
 # ------------------------------------------------------- registry searches
+
+SEARCH_BUDGET = 600
+DIGESTS_PATH = Path(__file__).with_name("definition3_search_digests.json")
+#: The search counters a digest covers (perfbench's ``STATS_FIELDS``).
+STATS_FIELDS = ("visited", "pruned", "expanded", "concrete_checked",
+                "consistent_found", "timed_out", "skeletons",
+                "max_skeleton_size")
+
+
+def search_digest(result) -> str:
+    """Digest of a search's counters and ranked queries."""
+    payload = {"stats": {name: getattr(result.stats, name)
+                         for name in STATS_FIELDS},
+               "queries": [str(query) for query in result.queries]}
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:20]
+
+
+def _search(task):
+    config = task.config.replace(max_visited=SEARCH_BUDGET)
+    return Synthesizer("provenance", config).run(task.tables,
+                                                 task.demonstration)
+
+
+def _pinned_digests() -> dict[str, str]:
+    with open(DIGESTS_PATH) as handle:
+        return json.load(handle)["digests"]
+
 
 @pytest.mark.parametrize("task", all_tasks(), ids=lambda t: t.name)
 def test_search_verdicts_match_reference(task, monkeypatch):
@@ -99,16 +149,18 @@ def test_search_verdicts_match_reference(task, monkeypatch):
         verdict = feasible(self, query, env, demo)
         table = self.analyzer.abstract_eval(query, env,
                                             self.target_refinement)
-        if table not in expected:
-            expected[table] = reference_abstract_consistent(
+        key = _table_key(table)
+        if key not in expected:
+            expected[key] = reference_abstract_consistent(
                 table, demo, env, value_shadow=self.value_shadow,
                 head_typing=self.head_typing, cap_copies=True)
-        assert verdict == expected[table], (query, table)
+        assert verdict == expected[key], (query, table)
         return verdict
 
     monkeypatch.setattr(ProvenanceAbstraction, "feasible", checked_feasible)
-    config = task.config.replace(max_visited=600)
-    Synthesizer("provenance", config).run(task.tables, task.demonstration)
+    result = _search(task)
+    assert search_digest(result) == _pinned_digests()[task.name], \
+        result.stats
 
 
 # ------------------------------------------------------ generated inputs
@@ -123,9 +175,11 @@ _REFS = [CellRef(t.name, i, j) for t in _ENV.tables
 _NUMERIC_REFS = [r for r in _REFS if isinstance(r.evaluate(_ENV), int)]
 _INDEX = RefIndex(_ENV)
 #: Values an abstract cell may shadow: every input value plus a few that
-#: aggregates and arithmetic over them produce.
+#: aggregates and arithmetic over them produce, and the booleans, which
+#: Python equates with 1 and 0.
 _VALUES = sorted({r.evaluate(_ENV) for r in _NUMERIC_REFS}
-                 | {0, 2, 3, 4, 11, 15, 30, 40}) + ["a", "b", None]
+                 | {0, 2, 3, 4, 11, 15, 30, 40}) + ["a", "b", None,
+                                                   True, False]
 
 
 @st.composite
@@ -191,7 +245,7 @@ def cases(draw):
             rows.append(tuple(c._replace(head=draw(st.sampled_from(HEADS)))
                               for c in row))
         rows.append(row)
-    table = AbstractTable(tuple(rows), rows_exact=draw(st.booleans()))
+    table = AbstractTable.from_rows(rows, rows_exact=draw(st.booleans()))
     return table, Demonstration.of(demo)
 
 
@@ -204,3 +258,11 @@ def test_generated_verdicts_match_reference(case, value_shadow, head_typing):
         reference_abstract_consistent(table, demo, _ENV,
                                       value_shadow=value_shadow,
                                       head_typing=head_typing)
+
+
+if __name__ == "__main__":
+    digests = {task.name: search_digest(_search(task)) for task in all_tasks()}
+    with open(DIGESTS_PATH, "w") as handle:
+        json.dump({"budget": SEARCH_BUDGET, "digests": digests}, handle,
+                  indent=1, sort_keys=True)
+        handle.write("\n")

@@ -136,7 +136,7 @@ class TestAbstractCells:
         index = RefIndex(Env.of(tiny_table))
         ref = CellRef("T", 0, 0)
         cell = AbstractCell(index.bits(ref), 5, True, HEAD_REF)
-        table = AbstractTable(((cell, cell), (cell, cell)))
+        table = AbstractTable.from_rows(((cell, cell), (cell, cell)))
         assert table.n_rows == 2 and table.n_cols == 2
         assert table.column(1) == [cell, cell]
         assert table.column_known((0, 1))

@@ -36,8 +36,9 @@ column to them, and lifted concrete subqueries reuse every column lifted
 from the same engine columns.  Every column built passes through
 :meth:`ProvenanceAnalyzer.interned`, so equal columns are one object, and
 every helper is keyed by the identity of the columns it reads: a sibling
-pays for its new column only — here, and in the Definition-3 mask and
-verdict memos that :class:`ProvenanceAbstraction` keeps.
+pays for its new column only — here, in the Definition-3 verdict memo
+that :class:`ProvenanceAbstraction` keeps, and in the mask memo of the
+engine's demo analysis.
 
 All memoization lives in :class:`ProvenanceAnalyzer` and
 :class:`ProvenanceAbstraction` *instances* (bounded caches) — there is no
@@ -58,8 +59,7 @@ from repro.abstraction.cells import (
     AbstractTable,
     column_key,
 )
-from repro.abstraction.consistency import DemoAnalysisCache, \
-    abstract_consistent
+from repro.abstraction.consistency import abstract_consistent
 from repro.engine.cache import BoundedCache
 from repro.errors import EvaluationError
 from repro.lang import ast
@@ -610,13 +610,10 @@ class ProvenanceAbstraction(Abstraction):
         self.value_shadow = value_shadow
         self.head_typing = head_typing
         # One analyzer, for the bound engine: a session that evaluates
-        # through another engine brings its own abstraction.
+        # through another engine brings its own abstraction.  The engine
+        # also owns the demo analysis that Definition 3 reads, column masks
+        # included.
         self._analyzer: ProvenanceAnalyzer | None = None
-        # Demo analyses and column masks are memoized per instance
-        # (Definition 3 checks the same demonstration thousands of times
-        # per run) — no module-global evaluation state anywhere in the
-        # stack.
-        self._demo_cache = DemoAnalysisCache()
         # Definition-3 verdicts per (columns, n_rows, env, demo), keyed by
         # column identity: the analyzer builds each column content once,
         # so sibling partial queries that abstract to equal tables share a
@@ -644,7 +641,8 @@ class ProvenanceAbstraction(Abstraction):
         # they instead face Definition 1 through the engine-owned
         # incremental checker (``engine.consistency``) — the two layers
         # share the bitset embedding core in :mod:`repro.util.matching`.
-        table = self.analyzer.abstract_eval(query, env, self.target_refinement)
+        analyzer = self.analyzer
+        table = analyzer.abstract_eval(query, env, self.target_refinement)
         columns = table.columns
         key = (tuple(map(id, columns)), table.n_rows, id(env), id(demo))
         hit = self._verdicts.get(key)
@@ -652,7 +650,8 @@ class ProvenanceAbstraction(Abstraction):
             return hit[3]
         verdict = abstract_consistent(
             table, demo, env, value_shadow=self.value_shadow,
-            head_typing=self.head_typing, demo_cache=self._demo_cache)
+            head_typing=self.head_typing,
+            analysis=analyzer.engine.demo_analysis(demo, env))
         self._verdicts[key] = (env, demo, columns, verdict)
         return verdict
 
@@ -660,5 +659,4 @@ class ProvenanceAbstraction(Abstraction):
         super().reset()
         if self._analyzer is not None:
             self._analyzer.clear()
-        self._demo_cache.clear()
         self._verdicts.clear()

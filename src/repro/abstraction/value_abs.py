@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 from repro.abstraction.base import Abstraction
 from repro.engine.cache import BoundedCache
-from repro.errors import EvaluationError, ExpressionError
+from repro.errors import EvaluationError
 from repro.lang import ast
 from repro.lang.holes import Hole, is_concrete
+from repro.provenance.analysis import NO_VALUE
 from repro.provenance.demo import Demonstration
 from repro.table.values import Value, canonical
 from repro.util.matching import bipartite_match
@@ -127,28 +128,19 @@ class ValueAbstraction(Abstraction):
 
     def feasible(self, query: ast.Query, env: ast.Env,
                  demo: Demonstration) -> bool:
-        columns = column_values_of(query, env, self._engine(), self._cache)
+        engine = self._engine()
+        columns = column_values_of(query, env, engine, self._cache)
         if demo.n_cols > len(columns):
             return False
-        demo_values = self._demo_values(demo, env)
+        demo_values = engine.demo_analysis(demo, env).values
         # Injective demo-column → output-column assignment covering every
         # computable demonstration value (no row-level reasoning: Scythe's
-        # abstraction tracks value flow, not positions).
+        # abstraction tracks value flow, not positions).  A partial cell's
+        # value is unknowable and covers nothing.
         return bipartite_match(
             demo.n_cols, len(columns),
-            lambda j, c: all(columns[c].covers(v)
-                             for v in demo_values[j])) is not None
-
-    @staticmethod
-    def _demo_values(demo: Demonstration, env: ast.Env) -> list[list[Value]]:
-        by_col: list[list[Value]] = [[] for _ in range(demo.n_cols)]
-        for i in range(demo.n_rows):
-            for j in range(demo.n_cols):
-                try:
-                    by_col[j].append(demo.cell(i, j).evaluate(env))
-                except ExpressionError:
-                    continue  # partial expression: value unknowable
-        return by_col
+            lambda j, c: all(columns[c].covers(v) for v in demo_values[j]
+                             if v is not NO_VALUE)) is not None
 
     def reset(self) -> None:
         super().reset()

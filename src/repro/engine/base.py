@@ -36,6 +36,11 @@ DEFAULT_GRID_CACHE = 50_000
 #: keeps (see :meth:`EvalEngine.ref_index`).
 DEFAULT_REF_INDEXES = 16
 
+#: (demonstration, env) pairs whose
+#: :class:`~repro.provenance.analysis.DemoAnalysis` an engine keeps (see
+#: :meth:`EvalEngine.demo_analysis`).
+DEFAULT_DEMO_ANALYSES = 8
+
 #: The evaluation engines :func:`make_engine` builds.
 BACKENDS: tuple[str, ...] = ("row", "columnar")
 
@@ -145,6 +150,8 @@ class EvalEngine:
         self._consistency = None
         self._tracked_grids: BoundedCache = BoundedCache(DEFAULT_GRID_CACHE)
         self._ref_indexes: BoundedCache = BoundedCache(DEFAULT_REF_INDEXES)
+        self._demo_analyses: BoundedCache = BoundedCache(
+            DEFAULT_DEMO_ANALYSES)
 
     def ref_index(self, env: ast.Env):
         """This engine's bit numbering of ``env``'s input cells.
@@ -159,6 +166,23 @@ class EvalEngine:
             from repro.provenance.refs import RefIndex
             index = self._ref_indexes[env] = RefIndex(env)
         return index
+
+    def demo_analysis(self, demo, env: ast.Env):
+        """This engine's one reading of ``demo`` against ``env``.
+
+        A :class:`~repro.provenance.analysis.DemoAnalysis`, numbered by
+        :meth:`ref_index`, that the Definition-1 checker, the Definition-3
+        check, the value baseline and hole-domain ordering all read.  Keyed
+        by the identities of ``demo`` and ``env``, which the analysis pins.
+        """
+        key = (id(demo), id(env))
+        analysis = self._demo_analyses.get(key)
+        if analysis is None or analysis.demo is not demo \
+                or analysis.env is not env:
+            from repro.provenance.analysis import DemoAnalysis
+            analysis = self._demo_analyses[key] = DemoAnalysis(
+                demo, env, self.ref_index(env))
+        return analysis
 
     @property
     def consistency(self):
@@ -177,12 +201,13 @@ class EvalEngine:
 
     def _reset_base_state(self) -> None:
         """Drop the state this base class owns (the consistency checker's,
-        the transposed grids and the ref indexes); subclasses call this
-        from ``reset()``."""
+        the transposed grids, the ref indexes and the demo analyses);
+        subclasses call this from ``reset()``."""
         if self._consistency is not None:
             self._consistency.clear()
         self._tracked_grids.clear()
         self._ref_indexes.clear()
+        self._demo_analyses.clear()
 
     def evaluate(self, query: ast.Query, env: ast.Env) -> Table:
         """``[[q(T̄)]]`` for a concrete query (raises ``HoleError`` on holes)."""

@@ -37,11 +37,12 @@ Because kernels share expression columns (and individual terms) by object
 reference wherever the semantics allow — sibling candidates of one
 instantiation family share every column except the one their differing
 parameter produces — ``id(column)`` identifies a column's *content* for as
-long as the column object is alive.  The incremental consistency checker
-(:mod:`repro.provenance.incremental`) keys its per-(column, demonstration)
-match-state memo on exactly that identity (pinning the column in the
-entry), which is what turns a k-column candidate check into a one-column
-incremental one.
+long as the column object is alive.  The Definition-1 checker
+(:mod:`repro.provenance.incremental`) judges each term object of a column
+once, and the demo analysis (:mod:`repro.provenance.analysis`) keys its
+per-column match-mask memo on exactly that identity (pinning the column
+in the entry), which is what turns a k-column candidate check into a
+one-column incremental one.
 """
 
 from __future__ import annotations
@@ -138,28 +139,6 @@ def group_term(members: Sequence[Expr]) -> GroupSet:
             seen.add(m)
             out.append(m)
     return GroupSet(tuple(out))
-
-
-def distinct_exprs(column: ExprColumn) -> list[tuple[Expr, int]]:
-    """Identity-distinct terms of a column with their row bitmasks.
-
-    Kernels share term objects aggressively — every row of an ``"all"``
-    analytic group carries one term, filters/sorts/joins gather references
-    — so judging each distinct object once and broadcasting the verdict
-    over its row bitmask is how the consistency checker keeps per-column
-    match cost proportional to distinct terms, not rows.
-    """
-    index: dict[int, int] = {}
-    out: list[tuple[Expr, int]] = []
-    for r, expr in enumerate(column):
-        slot = index.get(id(expr))
-        if slot is None:
-            index[id(expr)] = len(out)
-            out.append((expr, 1 << r))
-        else:
-            prev, bits = out[slot]
-            out[slot] = (prev, bits | (1 << r))
-    return out
 
 
 # ------------------------------------------------------------- selection

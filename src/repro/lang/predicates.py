@@ -96,13 +96,27 @@ class ColCmp(Predicate):
         return f"c{self.left} {self.op} c{self.right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstCmp(Predicate):
-    """``row[col] op const`` — comparison against a user-provided constant."""
+    """``row[col] op const`` — comparison against a user-provided constant.
+
+    Equality and hashing include the constant's type: Python equates
+    ``True`` with ``1``, ``value_eq`` does not, and every ``(query, env)``
+    cache keys on predicates.
+    """
 
     col: int
     op: str
     const: Value
+
+    def _key(self) -> tuple:
+        return self.col, self.op, self.const, self.const.__class__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ConstCmp and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def evaluate(self, row: Sequence[Value]) -> bool:
         return _compare(self.op, row[self.col], self.const)

@@ -12,9 +12,10 @@ Two term languages share one representation:
 :mod:`repro.provenance.consistency` implements the ≺ judgment (Fig. 10) and
 the table-level provenance consistency of Definition 1 (the reference
 oracle); :mod:`repro.provenance.incremental` is the engine-owned
-incremental checker the synthesis hot path runs — match matrices memoized
-per (tracked column, demonstration) across sibling candidates, bitset
-embedding, batched verdicts.
+incremental checker the synthesis hot path runs — batched verdicts over
+the one embedding routine of :mod:`repro.provenance.analysis`, which
+reads each demonstration once per env and memoizes match matrices per
+column across sibling candidates.
 """
 
 from repro.provenance.expr import (

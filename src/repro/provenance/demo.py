@@ -18,11 +18,8 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.errors import ExpressionError
-from repro.lang.ast import Env
-from repro.provenance.expr import CellRef, Expr, FuncApp
-from repro.provenance.refs import refs_of
+from repro.provenance.expr import Expr, FuncApp
 from repro.provenance.simplify import simplify
-from repro.table.values import Value
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,6 @@ class Demonstration:
     def cell(self, i: int, j: int) -> Expr:
         return self.cells[i][j]
 
-    def refs(self) -> frozenset[CellRef]:
-        out: frozenset[CellRef] = frozenset()
-        for row in self.cells:
-            for expr in row:
-                out |= refs_of(expr)
-        return out
-
     def is_partial(self) -> bool:
         """True when any cell contains an ``f♦`` application."""
 
@@ -78,23 +68,6 @@ class Demonstration:
             return any(has_partial(c) for c in e.children())
 
         return any(has_partial(e) for row in self.cells for e in row)
-
-    def evaluate(self, env: Env) -> list[list[Value | None]]:
-        """Concrete values of the demo cells; ``None`` where partial.
-
-        Used by the value-abstraction baseline, which can only check cells
-        whose final value is computable from the demonstration.
-        """
-        out: list[list[Value | None]] = []
-        for row in self.cells:
-            vals: list[Value | None] = []
-            for expr in row:
-                try:
-                    vals.append(expr.evaluate(env))
-                except ExpressionError:
-                    vals.append(None)
-            out.append(vals)
-        return out
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -7,37 +7,33 @@ candidates of one instantiation family share all but one output column.
 (PATSQL's lever — quick incremental inference of projected columns against
 the example table — applied to provenance terms):
 
-* **Match-matrix memo.**  For each (tracked column, demonstration) pair the
-  checker computes one *match matrix*: per demonstration column, a bitmask
-  over output rows for every demo row ``i`` — bit ``r`` set iff
-  ``E[i,j] ≺ T★[r,c]``.  Matrices are keyed by column object identity (the
-  structural key the columnar kernels already maintain: sibling candidates
-  share columns by reference, see :mod:`repro.engine.tracked_columns`), so
-  checking a sibling that shares k−1 columns only matches the one new
-  column.  Within a column, identity-distinct terms are judged once and
-  broadcast over their row bitmask.
+* **One reading of the demonstration.**  The checker keeps no demo state
+  of its own: it reads the engine's
+  :class:`~repro.provenance.analysis.DemoAnalysis` (cells simplified once
+  per demonstration) and supplies only its cell test, ``E[i,j] ≺
+  T★[r,c]``, to the analysis's embedding routine — the one Definition 3
+  uses with its own test.
+
+* **Match-matrix memo.**  The routine memoizes each tracked column's match
+  matrix (per demo column, a bitmask over output rows for every demo row)
+  by the column's identity: sibling candidates share columns by reference
+  (:mod:`repro.engine.tracked_columns`), so checking a sibling that shares
+  k−1 columns only matches the one new column.  Within a column,
+  identity-distinct terms are judged once.
 
 * **Column-level pruning.**  A candidate whose columns cannot cover the
   demonstration — some demo column has no compatible output column, or no
   injective column assignment exists — is rejected before any row
   embedding runs (``consistency_col_pruned`` in the engine stats).
 
-* **Bitset embedding.**  Surviving candidates run the backtracking search
-  of :func:`repro.util.matching.bitset_embedding_exists`: column
-  assignments AND row bitmasks incrementally and close with a bitset row
-  matching — no per-call ``(i, j, r, c)`` memo dict, no recursive
-  callback evaluation.
+* **Bitset embedding.**  Surviving candidates run
+  :func:`repro.util.matching.bitset_embedding_exists`.
 
 * **One batched pipeline.**  :meth:`demo_consistent_many` threads a whole
   sibling family through the engine's batched tracking evaluation
   (``tracked_columns_many``) and verdict computation in one call; the
   enumerator's sibling-family prefetch uses it so each subsequent pop is a
   verdict-cache hit.
-
-Both grids are matched in *pre-simplified* form: the tracking engines only
-emit simplified terms (PR-3 invariant, idempotent ``simplify``), and demo
-cells are simplified once per demonstration when its state is built — not
-once per check.
 
 Ownership mirrors the engine layer's session-isolation invariant: each
 :class:`~repro.engine.base.EvalEngine` lazily owns one checker
@@ -51,71 +47,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.engine.cache import BoundedCache
-from repro.engine.tracked_columns import distinct_exprs
 from repro.lang import ast
+from repro.provenance.analysis import CellTest
 from repro.provenance.consistency import generalizes_simplified
 from repro.provenance.demo import Demonstration
-from repro.provenance.simplify import simplify
-from repro.util.matching import MaskOption, bitset_embedding_exists, bitset_match
 
 DEFAULT_VERDICT_CACHE = 100_000
-DEFAULT_MATCH_CACHE = 50_000
 
-#: Retained per-demonstration states.  A synthesis session checks one
-#: demonstration thousands of times; a handful of states covers direct-API
-#: interleavings, and past the cap everything (including verdicts, whose
-#: keys pin demo identities through the states) is dropped together.
-MAX_DEMO_STATES = 8
-
-
-class _DemoState:
-    """Per-demonstration match state, pinned by demonstration identity."""
-
-    __slots__ = ("demo", "demo_columns", "n_rows", "n_cols", "matches")
-
-    def __init__(self, demo: Demonstration,
-                 match_cache_size: int | None) -> None:
-        self.demo = demo
-        # Simplified once per demonstration (Demonstration.of already
-        # simplifies on construction; idempotence makes this a no-op walk
-        # then) and stored column-major for the mask loops.
-        cells = [[simplify(e) for e in row] for row in demo.cells]
-        self.demo_columns = [tuple(row[j] for row in cells)
-                             for j in range(demo.n_cols)]
-        self.n_rows = demo.n_rows
-        self.n_cols = demo.n_cols
-        # id(column) -> (column, match matrix).  The entry pins the column
-        # object alive, so its id cannot be recycled while the entry
-        # exists; identity is re-checked on every hit regardless.
-        self.matches: BoundedCache = BoundedCache(match_cache_size)
-
-    def column_masks(self, column, stats) -> tuple[tuple[int, ...] | None, ...]:
-        """The column's match matrix against this demonstration.
-
-        One entry per demo column ``j``: a tuple of per-demo-row bitmasks
-        over the candidate's output rows, or ``None`` when some demo row
-        has no matching output row in this column (the column cannot
-        realize demo column ``j`` at all).
-        """
-        key = id(column)
-        entry = self.matches.get(key)
-        if entry is not None and entry[0] is column:
-            stats.col_match_hits += 1
-            return entry[1]
-        stats.col_match_evals += 1
-        matrix = self._compute_masks(column)
-        self.matches[key] = (column, matrix)
-        return matrix
-
-    def _compute_masks(self, column) -> tuple[tuple[int, ...] | None, ...]:
-        grids = [[0] * self.n_rows for _ in range(self.n_cols)]
-        for expr, row_bits in distinct_exprs(column):
-            for j, demo_col in enumerate(self.demo_columns):
-                grid = grids[j]
-                for i, demo_cell in enumerate(demo_col):
-                    if generalizes_simplified(expr, demo_cell):
-                        grid[i] |= row_bits
-        return tuple(None if 0 in grid else tuple(grid) for grid in grids)
+#: ``E[i,j] ≺ T★[r,c]`` over simplified terms (the tracking engines only
+#: emit simplified terms; the analysis simplifies the demo cells).  Terms
+#: are shared by reference across rows, so each object is judged once.
+TRACKED_TEST = CellTest(key=id, demands=lambda analysis: analysis.columns,
+                        fits=generalizes_simplified)
 
 
 class ConsistencyChecker:
@@ -127,33 +70,14 @@ class ConsistencyChecker:
     """
 
     def __init__(self, engine,
-                 verdict_cache_size: int | None = DEFAULT_VERDICT_CACHE,
-                 match_cache_size: int | None = DEFAULT_MATCH_CACHE,
-                 max_demo_states: int = MAX_DEMO_STATES) -> None:
+                 verdict_cache_size: int | None = DEFAULT_VERDICT_CACHE
+                 ) -> None:
         self.engine = engine
-        self._match_cache_size = match_cache_size
-        self._max_demo_states = max_demo_states
         self._verdicts: BoundedCache = BoundedCache(verdict_cache_size)
-        self._demos: dict[int, _DemoState] = {}
 
     def clear(self) -> None:
-        """Drop verdicts, match matrices and demo states (engine reset)."""
+        """Drop verdicts (engine reset)."""
         self._verdicts.clear()
-        self._demos.clear()
-
-    def _state(self, demo: Demonstration) -> _DemoState:
-        key = id(demo)
-        state = self._demos.get(key)
-        if state is not None and state.demo is demo:
-            return state
-        if len(self._demos) >= self._max_demo_states:
-            # Verdict keys embed demo identities that the evicted states
-            # were pinning — they must go together, or a recycled id could
-            # surface another demonstration's verdicts.
-            self.clear()
-        state = _DemoState(demo, self._match_cache_size)
-        self._demos[key] = state
-        return state
 
     # ------------------------------------------------------------- checking
     def demo_consistent(self, query: ast.Query, env: ast.Env,
@@ -175,7 +99,6 @@ class ConsistencyChecker:
         solution — verdict ``False``, exactly as the enumerator's historical
         per-candidate guard treated it.
         """
-        state = self._state(demo)
         stats = self.engine.stats
         demo_key = id(demo)
         verdicts = self._verdicts
@@ -183,44 +106,22 @@ class ConsistencyChecker:
         missing: list[int] = []
         for idx, query in enumerate(queries):
             cached = verdicts.get((query, env, demo_key))
-            if cached is not None:
+            if cached is not None and cached[1] is demo:
                 stats.consistency_hits += 1
                 out[idx] = cached[0]
             else:
                 missing.append(idx)
         if not missing:
             return out
+        analysis = self.engine.demo_analysis(demo, env)
         grids = self.engine.tracked_columns_many(
             [queries[idx] for idx in missing], env, errors="none")
         for idx, columns in zip(missing, grids):
             stats.consistency_checks += 1
-            verdict = columns is not None and self._check(columns, state,
-                                                          stats)
-            # Wrapped so a cached False is distinguishable from a miss.
-            verdicts[(queries[idx], env, demo_key)] = (verdict,)
+            verdict = columns is not None and analysis.embeds(
+                columns, len(columns[0]) if columns else 0, TRACKED_TEST,
+                stats)
+            # The entry pins the demonstration its key names by id.
+            verdicts[(queries[idx], env, demo_key)] = (verdict, demo)
             out[idx] = verdict
         return out
-
-    def _check(self, columns, state: _DemoState, stats) -> bool:
-        n_cols = len(columns)
-        n_rows = len(columns[0]) if n_cols else 0
-        if state.n_rows > n_rows or state.n_cols > n_cols:
-            stats.consistency_col_pruned += 1
-            return False
-        matrices = [state.column_masks(col, stats) for col in columns]
-        options: list[list[MaskOption]] = []
-        col_adj: list[int] = []
-        for j in range(state.n_cols):
-            opts = [(c, matrices[c][j]) for c in range(n_cols)
-                    if matrices[c][j] is not None]
-            if not opts:
-                stats.consistency_col_pruned += 1
-                return False
-            options.append(opts)
-            col_adj.append(sum(1 << c for c, _ in opts))
-        # Injective column-assignment feasibility: refuted candidates never
-        # reach a row search (the column-level prune of the fast path).
-        if bitset_match(col_adj, n_cols) is None:
-            stats.consistency_col_pruned += 1
-            return False
-        return bitset_embedding_exists(options, state.n_rows, n_rows)

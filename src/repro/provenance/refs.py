@@ -16,7 +16,7 @@ from bisect import bisect_right
 from repro.engine.cache import BoundedCache
 from repro.provenance.expr import CellRef, Const, Expr, FuncApp, GroupSet
 
-#: Compound terms, and term grids, whose bitsets one index remembers.
+#: Compound terms, and term columns, whose bitsets one index remembers.
 DEFAULT_TERM_CACHE = 50_000
 DEFAULT_COLUMN_BITS_CACHE = 5_000
 
@@ -49,17 +49,18 @@ class RefIndex:
 
     Tracked terms are immutable and shared by reference across the tracked
     tables of one engine, so the bitset of each compound term is numbered
-    once and remembered by the term's identity, and so are the per-column
-    unions of a tracked table's grid (:meth:`column_bits`).  Each entry
-    pins its object, so the id cannot be recycled while the entry lives.
+    once and remembered by the term's identity, and so is the union of
+    each tracked expression column (:meth:`column_bits`).  Each entry pins
+    its object, so the id cannot be recycled while the entry lives.
 
-    An index is owned by whoever numbers with it (an engine, see
-    :meth:`~repro.engine.base.EvalEngine.ref_index`, or a demo analysis);
-    it is never module-global and never pickled.
+    An index is owned by an engine (see
+    :meth:`~repro.engine.base.EvalEngine.ref_index`), which numbers its
+    tracked terms and its demo analyses with it; it is never
+    module-global and never pickled.
     """
 
     __slots__ = ("_layout", "_offsets", "_tables", "_foreign", "_terms",
-                 "_grids")
+                 "_columns")
 
     def __init__(self, env) -> None:
         #: name -> (offset, arity, rows); the first table of a name wins,
@@ -77,7 +78,7 @@ class RefIndex:
             offset += rows * arity
         self._foreign = 1 << offset
         self._terms: BoundedCache = BoundedCache(DEFAULT_TERM_CACHE)
-        self._grids: BoundedCache = BoundedCache(DEFAULT_COLUMN_BITS_CACHE)
+        self._columns: BoundedCache = BoundedCache(DEFAULT_COLUMN_BITS_CACHE)
 
     def __reduce__(self):
         raise TypeError("a RefIndex is process-local and never pickled")
@@ -105,19 +106,20 @@ class RefIndex:
             return out
         raise TypeError(f"not a provenance term: {expr!r}")
 
-    def column_bits(self, grid, n_cols: int) -> tuple[int, ...]:
-        """Per-column union of the bitsets of ``grid``, rows of ``n_cols``
-        terms (a tracked table's ``exprs``)."""
-        hit = self._grids.get(id(grid))
-        if hit is not None:
-            return hit[1]
-        bits = self.bits
-        out = [0] * n_cols
-        for row in grid:
-            for c, expr in enumerate(row):
-                out[c] |= bits(expr)
-        hit = self._grids[id(grid)] = (grid, tuple(out))
-        return hit[1]
+    def column_bits(self, columns) -> tuple[int, ...]:
+        """Per-column union of the bitsets of a tracked block's expression
+        ``columns``, each union remembered by its column's identity."""
+        out = []
+        memo, bits = self._columns, self.bits
+        for column in columns:
+            hit = memo.get(id(column))
+            if hit is None or hit[0] is not column:
+                union = 0
+                for expr in column:
+                    union |= bits(expr)
+                hit = memo[id(column)] = (column, union)
+            out.append(hit[1])
+        return tuple(out)
 
     def decode(self, bits: int) -> frozenset[CellRef]:
         """The cell references of a bitset (the inverse of :meth:`bits`

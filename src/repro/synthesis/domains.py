@@ -39,8 +39,6 @@ from repro.lang.functions import analytic_spec, function_spec
 from repro.lang.holes import HolePosition, node_at
 from repro.lang.predicates import ColCmp, ConstCmp
 from repro.provenance.demo import Demonstration
-from repro.provenance.expr import CellRef, FuncApp
-from repro.provenance.refs import RefIndex
 from repro.synthesis.config import SynthesisConfig
 from repro.table.table import Table
 from repro.table.values import value_type
@@ -109,67 +107,26 @@ def _numeric_cols(table: Table) -> list[int]:
             if table.schema.types[j] == "number"]
 
 
-def _child_column_refs(child: ast.Query, env: ast.Env, engine,
-                       index: RefIndex) -> tuple[int, ...]:
-    """Per-column input-cell reference bitsets of a concrete child's
-    output (``index`` is the engine's, which numbers each tracked table
-    once)."""
-    tracked = engine.evaluate_tracking(child, env)
-    return index.column_bits(tracked.exprs, tracked.n_cols)
-
-
-def _suggested_key_cols(child: ast.Query, env: ast.Env,
-                        demo: Demonstration, engine) -> frozenset[int]:
-    """Child columns that plain-reference demo columns point at."""
-    index = engine.ref_index(env)
-    col_refs = _child_column_refs(child, env, engine, index)
-    suggested = set()
-    for j in range(demo.n_cols):
-        cells = [demo.cell(i, j) for i in range(demo.n_rows)]
-        if not all(isinstance(c, CellRef) for c in cells):
-            continue
-        needed = 0
-        for c in cells:
-            needed |= index.bits(c)
-        for c, refs in enumerate(col_refs):
-            if not needed & ~refs:
-                suggested.add(c)
-    return frozenset(suggested)
-
-
 def _order_keys(domain: list[tuple[int, ...]], child: ast.Query,
                 env: ast.Env, demo: Demonstration | None, engine) -> list:
     if demo is None:
         return domain
-    suggested = _suggested_key_cols(child, env, demo, engine)
+    suggested = engine.demo_analysis(demo, env).suggested_columns(
+        child, engine)[0]
     if not suggested:
         return domain
-    return sorted(domain, key=lambda keys: (-len(suggested & set(keys)),
-                                            len(keys)))
-
-
-def _suggested_agg_cols(child: ast.Query, env: ast.Env,
-                        demo: Demonstration, engine) -> frozenset[int]:
-    """Child columns whose refs cover an aggregate-headed demo cell."""
-    index = engine.ref_index(env)
-    col_refs = _child_column_refs(child, env, engine, index)
-    suggested = set()
-    for row in demo.cells:
-        for cell in row:
-            if not isinstance(cell, FuncApp):
-                continue
-            needed = index.bits(cell)
-            for c, refs in enumerate(col_refs):
-                if needed and not needed & ~refs:
-                    suggested.add(c)
-    return frozenset(suggested)
+    # Most suggested columns first, then smallest: ``_key_domains`` lists
+    # key sets by size and the sort is stable, so size needs no key part.
+    hit = suggested.__contains__
+    return sorted(domain, key=lambda keys: -sum(map(hit, keys)))
 
 
 def _order_agg_cols(domain: list[int], child: ast.Query, env: ast.Env,
                     demo: Demonstration | None, engine) -> list[int]:
     if demo is None:
         return domain
-    suggested = _suggested_agg_cols(child, env, demo, engine)
+    suggested = engine.demo_analysis(demo, env).suggested_columns(
+        child, engine)[1]
     if not suggested:
         return domain
     return sorted(domain, key=lambda c: (c not in suggested, c))

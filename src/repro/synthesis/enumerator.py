@@ -287,8 +287,9 @@ POP_EXPANDED = "expanded"          # partial; holes branched
 POP_INCONSISTENT = "inconsistent"  # concrete; failed the ≺ check
 POP_CONSISTENT = "consistent"      # concrete; a solution candidate
 
-#: Largest fully-instantiated sibling family batch-warmed through
-#: ``evaluate_tracking_many`` at expansion time.  Covers the common
+#: Largest fully-instantiated sibling family batch-warmed at expansion
+#: time, through ``engine.consistency.demo_consistent_many`` (and so the
+#: engine's ``tracked_columns_many``).  Covers the common
 #: aggregation/arithmetic/predicate families while keeping the eager work
 #: per pop bounded (an early stop may never pop an oversized family).
 #: Such a family is filled at expansion and pushed as plain queries; every

@@ -12,9 +12,11 @@ column) match state is a tuple of row bitmasks, column assignment
 backtracking ANDs those masks incrementally (a branch dies the moment some
 demo row has no surviving output row), and the row matching at each leaf is
 Kuhn's algorithm over bitmask adjacency (:func:`bitset_match`).  The mask
-representation is also the interchange format of the incremental
-consistency checker (:mod:`repro.provenance.incremental`), which memoizes
-masks across sibling candidates instead of rebuilding them per call.
+representation is also the interchange format of the one embedding routine
+both production checks run
+(:meth:`repro.provenance.analysis.DemoAnalysis.embeds`), which memoizes
+each column's masks across sibling tables instead of rebuilding them per
+call and refutes at the column level first (:func:`column_options`).
 """
 
 from __future__ import annotations
@@ -123,6 +125,34 @@ def bitset_match(adjacency: Sequence[int], n_right: int) -> list[int] | None:
 MaskOption = tuple[int, Sequence[int]]
 
 
+def column_options(matrices: Sequence[Sequence[Sequence[int] | None]],
+                   n_demo_cols: int) -> list[list[MaskOption]] | None:
+    """The :func:`bitset_embedding_exists` options of a table, or ``None``
+    when the column level already refutes the embedding.
+
+    ``matrices[c][j]`` holds output column ``c``'s row masks for demo
+    column ``j`` (``None`` when the column cannot host it).  The column
+    level refutes when some demo column has no compatible output column,
+    or when no injective demo-to-output column assignment exists.
+    """
+    options: list[list[MaskOption]] = []
+    adjacency: list[int] = []
+    for j in range(n_demo_cols):
+        opts: list[MaskOption] = []
+        row = 0
+        for c, matrix in enumerate(matrices):
+            if matrix[j] is not None:
+                opts.append((c, matrix[j]))
+                row |= 1 << c
+        if not row:
+            return None
+        options.append(opts)
+        adjacency.append(row)
+    if n_demo_cols > 1 and bitset_match(adjacency, len(matrices)) is None:
+        return None
+    return options
+
+
 def bitset_embedding_exists(options: Sequence[Sequence[MaskOption]],
                             n_demo_rows: int, n_rows: int) -> bool:
     """Injective grid embedding from precomputed row bitmasks.
@@ -167,9 +197,9 @@ def embedding_exists(n_demo_rows: int, n_demo_cols: int,
     demo rows to output rows such that ``cell_ok(i, j, r, c)`` holds for every
     demo cell ``(i, j)`` mapped to output cell ``(r, c)``.  This is the
     shape of both consistency judgments (Definitions 1 and 3) with the cell
-    relation as a callback; the naive Definition-1 check uses it, while the
-    abstract Definition-3 check builds its masks from bitset refs and calls
-    :func:`bitset_embedding_exists` directly.
+    relation as a callback; the naive Definition-1 reference uses it, while
+    the production checks of both definitions build memoized masks in
+    :meth:`~repro.provenance.analysis.DemoAnalysis.embeds`.
 
     The relation is materialized once as per-(demo column, output column)
     row bitmasks — each cell judged at most once, no per-call memo dict —

@@ -304,7 +304,7 @@ def _group_sum_demo():
 
 
 class TestDemoAnalysisCache:
-    """The demo-analysis memo is instance-owned and identity-safe."""
+    """The demo analysis is engine-owned and identity-safe."""
 
     def _demo(self):
         return _group_sum_demo()
@@ -319,40 +319,39 @@ class TestDemoAnalysisCache:
         q = Group(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
                   agg_col=H("agg_col"))
         assert a.feasible(q, env, demo)
-        assert len(a._demo_cache) > 0
-        assert len(b._demo_cache) == 0
+        assert len(a.engine._demo_analyses) > 0
+        assert len(b._engine()._demo_analyses) == 0
 
     def test_stale_env_identity_is_recomputed(self, env):
         """A recycled Env id must never surface another env's values.
 
         Regression: the old guard only identity-checked the *demo*, so an
         entry keyed by a garbage-collected env's id answered for whatever
-        new env inherited that id.  Entries now pin and identity-check
+        new env inherited that id.  Analyses now pin and identity-check
         both objects; a poked stale entry must be ignored and recomputed.
         """
-        from repro.abstraction.consistency import DemoAnalysisCache
-        cache = DemoAnalysisCache()
+        from repro.provenance.analysis import DemoAnalysis
+        engine = make_engine("columnar")
         demo = self._demo()
         other_env = Env.of(Table.from_rows("T", ["a", "b", "c"],
                                            [["x", 0, 0]] * 5))
-        poison = object()
-        cache._entries[(id(demo), id(env), True)] = \
-            (demo, other_env, poison, poison, poison)
-        refs, values, heads = cache.analysis(demo, env, True)
-        assert refs is not poison
-        assert values[0][1] == 45            # sum(10, 20, 15) under *env*
+        poison = DemoAnalysis(demo, other_env, RefIndex(other_env))
+        engine._demo_analyses[(id(demo), id(env))] = poison
+        analysis = engine.demo_analysis(demo, env)
+        assert analysis is not poison
+        assert analysis.values[1][0] == 45   # sum(10, 20, 15) under *env*
         # The stale entry was replaced by one pinning the right env.
-        entry = cache._entries[(id(demo), id(env), True)]
-        assert entry[1] is env
+        entry = engine._demo_analyses[(id(demo), id(env))]
+        assert entry.env is env
 
     def test_reset_clears_demo_cache(self, env):
         prov = ProvenanceAbstraction()
         prov.feasible(Group(TableRef("T"), keys=(0,), agg_func=H("agg_func"),
                             agg_col=H("agg_col")), env, self._demo())
-        assert len(prov._demo_cache) > 0
+        assert len(prov.engine._demo_analyses) > 0
         assert len(prov._verdicts) > 0
         prov.reset()
-        assert len(prov._demo_cache) == 0
+        assert len(prov.engine._demo_analyses) == 0
         assert len(prov._verdicts) == 0
 
 
@@ -433,15 +432,19 @@ class TestRefIndex:
         engine = make_engine("columnar")
         index = engine.ref_index(env)
         assert engine.ref_index(env) is index
-        tracked = engine.evaluate_tracking(
-            Group(TableRef("T"), keys=(0,), agg_func="sum", agg_col=2), env)
+        query = Group(TableRef("T"), keys=(0,), agg_func="sum", agg_col=2)
+        tracked = engine.evaluate_tracking(query, env)
         fresh = RefIndex(env)
         expected = tuple(
             fresh.bits(tracked.exprs[0][c]) | fresh.bits(tracked.exprs[1][c])
             for c in range(tracked.n_cols))
-        first = index.column_bits(tracked.exprs, tracked.n_cols)
+        columns = engine.tracked_blocks_many((query,), env)[0].expr_columns
+        first = index.column_bits(columns)
         assert first == expected
-        assert index.column_bits(tracked.exprs, tracked.n_cols) is first
+        # Each column's union is numbered once and remembered by identity.
+        assert all(index._columns[id(column)] == (column, bits)
+                   for column, bits in zip(columns, first))
+        assert index.column_bits(columns) == first
 
 
 class TestPickling:
@@ -545,30 +548,36 @@ class TestSiblingColumnSharing:
         domain = hole_domain(parent, position, env, config, demo,
                              prov.analyzer.engine)
         assert len(domain) == 5
+        masks = prov.analyzer.engine.demo_analysis(demo, env)._masks
         first = None
         for value in domain:
             query = fill(parent, position, value)
-            before = len(prov._demo_cache.masks)
+            before = len(masks)
             prov.feasible(query, env, demo)
             table = prov.analyzer.abstract_eval(query, env)
             if first is None:
                 first = table
-                assert len(prov._demo_cache.masks) - before == table.n_cols
+                assert len(masks) - before == table.n_cols
                 continue
             assert all(mine is theirs for mine, theirs
                        in zip(table.columns[:-1], first.columns[:-1]))
             assert table.columns[-1] is not first.columns[-1]
-            assert len(prov._demo_cache.masks) - before == 1
+            assert len(masks) - before == 1
 
     def test_reset_empties_every_memo(self, env):
         prov = ProvenanceAbstraction()
         query = Sort(Partition(TableRef("T"), keys=(0,), agg_col=2,
                                agg_func="sum"),
                      cols=H("cols"), ascending=H("ascending"))
-        prov.feasible(query, env, _group_sum_demo())
-        memos = (prov._demo_cache, prov._demo_cache.masks, prov._verdicts,
+        demo = _group_sum_demo()
+        prov.feasible(query, env, demo)
+        analysis = prov.engine.demo_analysis(demo, env)
+        memos = (prov.engine._demo_analyses, prov._verdicts,
                  prov.engine._ref_indexes)
-        assert all(len(memo) for memo in memos)
+        assert all(len(memo) for memo in memos + (analysis._masks,))
         assert any(len(memo) for memo in prov.analyzer.memos())
         prov.reset()
         assert all(len(memo) == 0 for memo in memos + prov.analyzer.memos())
+        # The analysis, masks and all, went with the engine's reset.
+        fresh = prov.engine.demo_analysis(demo, env)
+        assert fresh is not analysis and len(fresh._masks) == 0

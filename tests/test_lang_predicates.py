@@ -64,3 +64,31 @@ class TestHashability:
     def test_equality_is_structural(self):
         assert ColCmp(0, "<", 1) == ColCmp(0, "<", 1)
         assert ColCmp(0, "<", 1) != ColCmp(0, "<=", 1)
+
+    def test_constants_of_other_types_differ(self):
+        # Python equates True with 1; value_eq, and so the filter, does not.
+        assert ConstCmp(1, "==", True) != ConstCmp(1, "==", 1)
+        assert ConstCmp(1, "==", False) != ConstCmp(1, "==", 0)
+        assert ConstCmp(1, "==", 1) == ConstCmp(1, "==", 1)
+        assert len({ConstCmp(1, "==", True), ConstCmp(1, "==", 1)}) == 2
+
+
+class TestEngineCacheKeys:
+    """Every ``(query, env)`` cache keys on predicates."""
+
+    def test_bool_and_int_constants_are_not_one_filter(self):
+        from repro.engine import make_engine
+        from repro.lang import ast
+        from repro.table import Table
+        env = ast.Env.of(Table.from_rows("T", ["k", "b"],
+                                         [["a", True], ["c", 1]]))
+
+        def filtered(engine, const):
+            query = ast.Filter(ast.TableRef("T"), ConstCmp(1, "==", const))
+            return engine.evaluate(query, env).rows
+
+        for backend in ("columnar", "row"):
+            engine = make_engine(backend)
+            assert filtered(engine, True) == (("a", True),)
+            assert filtered(engine, 1) == filtered(make_engine(backend), 1) \
+                == (("c", 1),)

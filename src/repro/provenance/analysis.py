@@ -51,8 +51,8 @@ from repro.util.matching import bitset_embedding_exists, column_options
 #: ``f♦`` term).
 NO_VALUE = object()
 
-#: Column mask matrices, and children's suggested columns, one analysis
-#: keeps.
+#: Column mask matrices (one memo for every cell test), and children's
+#: suggested columns, one analysis keeps.
 DEFAULT_MASK_CACHE = 50_000
 DEFAULT_SUGGESTION_CACHE = 5_000
 

@@ -12,13 +12,14 @@ environment's input cells, so a set of references is a bitset, union is
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import reduce
+from operator import or_
 
 from repro.engine.cache import BoundedCache
 from repro.provenance.expr import CellRef, Const, Expr, FuncApp, GroupSet
 
-#: Compound terms, and term columns, whose bitsets one index remembers.
+#: Compound terms whose bitsets one index remembers.
 DEFAULT_TERM_CACHE = 50_000
-DEFAULT_COLUMN_BITS_CACHE = 5_000
 
 
 def refs_of(expr: Expr) -> frozenset[CellRef]:
@@ -49,9 +50,8 @@ class RefIndex:
 
     Tracked terms are immutable and shared by reference across the tracked
     tables of one engine, so the bitset of each compound term is numbered
-    once and remembered by the term's identity, and so is the union of
-    each tracked expression column (:meth:`column_bits`).  Each entry pins
-    its object, so the id cannot be recycled while the entry lives.
+    once and remembered by the term's identity.  Each entry pins its term,
+    so the id cannot be recycled while the entry lives.
 
     An index is owned by an engine (see
     :meth:`~repro.engine.base.EvalEngine.ref_index`), which numbers its
@@ -59,8 +59,7 @@ class RefIndex:
     module-global and never pickled.
     """
 
-    __slots__ = ("_layout", "_offsets", "_tables", "_foreign", "_terms",
-                 "_columns")
+    __slots__ = ("_layout", "_offsets", "_tables", "_foreign", "_terms")
 
     def __init__(self, env) -> None:
         #: name -> (offset, arity, rows); the first table of a name wins,
@@ -78,7 +77,6 @@ class RefIndex:
             offset += rows * arity
         self._foreign = 1 << offset
         self._terms: BoundedCache = BoundedCache(DEFAULT_TERM_CACHE)
-        self._columns: BoundedCache = BoundedCache(DEFAULT_COLUMN_BITS_CACHE)
 
     def __reduce__(self):
         raise TypeError("a RefIndex is process-local and never pickled")
@@ -108,18 +106,9 @@ class RefIndex:
 
     def column_bits(self, columns) -> tuple[int, ...]:
         """Per-column union of the bitsets of a tracked block's expression
-        ``columns``, each union remembered by its column's identity."""
-        out = []
-        memo, bits = self._columns, self.bits
-        for column in columns:
-            hit = memo.get(id(column))
-            if hit is None or hit[0] is not column:
-                union = 0
-                for expr in column:
-                    union |= bits(expr)
-                hit = memo[id(column)] = (column, union)
-            out.append(hit[1])
-        return tuple(out)
+        ``columns``."""
+        bits = self.bits
+        return tuple(reduce(or_, map(bits, column), 0) for column in columns)
 
     def decode(self, bits: int) -> frozenset[CellRef]:
         """The cell references of a bitset (the inverse of :meth:`bits`

@@ -24,7 +24,7 @@ from repro.lang import (
 from repro.engine import make_engine
 from repro.lang.holes import fill, holes_of
 from repro.provenance import Demonstration, cell, func, partial_func
-from repro.provenance.expr import CellRef
+from repro.provenance.expr import CellRef, FuncApp, GroupSet
 from repro.provenance.refs import RefIndex, refs_of
 from repro.semantics import evaluate_tracking
 from repro.synthesis.config import SynthesisConfig
@@ -441,9 +441,12 @@ class TestRefIndex:
         columns = engine.tracked_blocks_many((query,), env)[0].expr_columns
         first = index.column_bits(columns)
         assert first == expected
-        # Each column's union is numbered once and remembered by identity.
-        assert all(index._columns[id(column)] == (column, bits)
-                   for column, bits in zip(columns, first))
+        # Each compound term is numbered once and remembered by identity.
+        compound = [expr for column in columns for expr in column
+                    if isinstance(expr, (FuncApp, GroupSet))]
+        assert compound
+        assert all(index._terms[id(expr)] == (expr, fresh.bits(expr))
+                   for expr in compound)
         assert index.column_bits(columns) == first
 
 
